@@ -108,7 +108,9 @@ class CommonSubexpressionElimination:
 
         pre: list[ir.Stmt] = []
         replacements: dict[object, ir.VarRef] = {}
-        for key in maximal:
+        # Number temporaries in first-occurrence order, not set order:
+        # set iteration follows the hash seed, and the emitted C must not.
+        for key in [k for k in samples if k in maximal]:
             sample = samples[key]
             self._counter += 1
             name = f"cse{self._counter}"

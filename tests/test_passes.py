@@ -341,6 +341,41 @@ def test_cse_does_not_touch_loads():
     assert isinstance(func.body[0].value, ir.BinOp)
 
 
+_QR_GS_C_SOURCE = """
+import sys
+from pathlib import Path
+sys.path.insert(0, str(Path.cwd() / "benchmarks"))
+from repro.compiler import compile_source
+from workloads import workload_by_name
+w = workload_by_name("qr_gs")
+result = compile_source(w.source, args=w.arg_types, entry=w.entry,
+                        use_cache=False)
+sys.stdout.write(result.c_source())
+"""
+
+
+def test_cse_temporaries_do_not_depend_on_hash_seed():
+    # CSE used to number its temporaries in set-iteration order, so
+    # qr_gs's C changed with PYTHONHASHSEED (and missed the .so cache
+    # after every process restart).
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    sources = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", _QR_GS_C_SOURCE],
+                              cwd=root, env=env, capture_output=True,
+                              text=True, check=True)
+        sources.append(proc.stdout)
+    assert "cse" in sources[0]
+    assert sources[0] == sources[1]
+
+
 # ----------------------------------------------------------------------
 # LICM
 # ----------------------------------------------------------------------
