@@ -187,6 +187,8 @@ class Server:
         except ValueError as exc:
             raise _BadRequest(
                 f"bad Content-Length {length!r}") from exc
+        if length < 0:
+            raise _BadRequest(f"negative Content-Length {length}")
         if length > MAX_BODY_BYTES:
             raise _BadRequest(
                 f"body of {length} bytes exceeds the "

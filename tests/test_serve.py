@@ -306,6 +306,21 @@ def test_http_error_codes(http_serve):
         assert raw["http_status"] == 400  # no source field
 
 
+def test_http_negative_content_length_is_400(http_serve):
+    import socket
+
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10)
+        sock.connect(http_serve.socket_path)
+        sock.sendall(b"POST /compile HTTP/1.1\r\n"
+                     b"Content-Length: -5\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 "), reply
+    assert b"negative Content-Length" in reply
+
+
 def test_http_metrics_and_stats(http_serve):
     with ServeClient(path=http_serve.socket_path) as client:
         client.compile(FIR, FIR_ARGS, include_c=False)
