@@ -15,7 +15,8 @@ processor's custom instructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.ir.types import ArrayType, IRType, ScalarType, VectorType
 
@@ -416,22 +417,36 @@ def walk_expressions(body: list[Stmt]) -> Iterator[Expr]:
             yield from walk_expr(expr)
 
 
-def statement_exprs(stmt: Stmt) -> list[Expr]:
+#: Expression slots of each statement type, in evaluation order.  A
+#: list-valued slot holds several expressions; ``Call.args`` also holds
+#: array names as plain strings, which are not expressions.  Both
+#: :func:`statement_exprs` and the pass-side rewriter read this table.
+STMT_EXPR_SLOTS: dict[type, tuple[str, ...]] = {
+    AssignVar: ("value",),
+    Store: ("index", "value"),
+    VecStore: ("base", "value"),
+    IntrinsicStmt: ("call",),
+    ForRange: ("start", "stop"),
+    While: ("condition",),
+    If: ("condition",),
+    Call: ("args",),
+    Emit: ("args",),
+}
+
+
+_EXPR_GETTERS = {cls: attrgetter(*slots)
+                 for cls, slots in STMT_EXPR_SLOTS.items()}
+
+
+def statement_exprs(stmt: Stmt) -> Sequence[Expr]:
     """Top-level expressions directly owned by one statement."""
-    if isinstance(stmt, AssignVar):
-        return [stmt.value]
-    if isinstance(stmt, Store):
-        return [stmt.index, stmt.value]
-    if isinstance(stmt, VecStore):
-        return [stmt.base, stmt.value]
-    if isinstance(stmt, IntrinsicStmt):
-        return [stmt.call]
-    if isinstance(stmt, ForRange):
-        return [stmt.start, stmt.stop]
-    if isinstance(stmt, (While, If)):
-        return [stmt.condition]
-    if isinstance(stmt, Call):
-        return [a for a in stmt.args if isinstance(a, Expr)]
-    if isinstance(stmt, Emit):
-        return list(stmt.args)
-    return []
+    getter = _EXPR_GETTERS.get(type(stmt))
+    if getter is None:
+        return ()
+    value = getter(stmt)
+    # attrgetter returns a tuple for several slots, the bare value for one.
+    if type(value) is tuple:
+        return value
+    if type(value) is list:
+        return [v for v in value if isinstance(v, Expr)]
+    return (value,)

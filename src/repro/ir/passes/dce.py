@@ -10,7 +10,13 @@ operands dead in the next round.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import loaded_arrays, used_vars
+from repro.ir.defuse import (
+    assigned_vars,
+    loaded_arrays,
+    read_outside,
+    stored_arrays,
+    used_vars,
+)
 
 
 class DeadCodeElimination:
@@ -27,39 +33,18 @@ class DeadCodeElimination:
         self._func_body = func.body
         changed |= self._sweep(func.body, live_scalars, live_arrays)
 
-        # Drop locals that no statement mentions any more.
-        still_assigned = self._mentioned_names(func.body)
+        # Drop locals that no statement mentions any more.  The sweep
+        # only deletes statements, so the pre-sweep use sets already
+        # cover every read that is left; only definitions need a rescan.
+        still_defined = assigned_vars(func.body) | stored_arrays(func.body)
         for name in list(func.locals):
             if name in keep:
                 continue
-            if name not in still_assigned and name not in live_scalars and \
+            if name not in still_defined and name not in live_scalars and \
                     name not in live_arrays:
                 del func.locals[name]
                 changed = True
         return changed
-
-    def _mentioned_names(self, body: list[ir.Stmt]) -> set[str]:
-        names: set[str] = set()
-        for stmt in ir.walk_statements(body):
-            if isinstance(stmt, ir.AssignVar):
-                names.add(stmt.name)
-            elif isinstance(stmt, (ir.Store, ir.VecStore)):
-                names.add(stmt.array)
-            elif isinstance(stmt, ir.ForRange):
-                names.add(stmt.var)
-            elif isinstance(stmt, ir.CopyArray):
-                names.add(stmt.dst)
-                names.add(stmt.src)
-            elif isinstance(stmt, ir.Call):
-                names.update(stmt.results)
-                names.update(a for a in stmt.args if isinstance(a, str))
-            for expr in ir.statement_exprs(stmt):
-                for node in ir.walk_expr(expr):
-                    if isinstance(node, ir.VarRef):
-                        names.add(node.name)
-                    elif isinstance(node, (ir.Load, ir.VecLoad)):
-                        names.add(node.array)
-        return names
 
     def _sweep(self, body: list[ir.Stmt], live_scalars: set[str],
                live_arrays: set[str]) -> bool:
@@ -93,32 +78,6 @@ class DeadCodeElimination:
                 index += 1
         return changed
 
-    def _var_used_outside(self, loop: ir.ForRange) -> bool:
-        """Is the loop variable read anywhere outside the loop's body?
-
-        Reads inside another loop that redefines the name as its own
-        induction variable don't count.
-        """
-        name = loop.var
-
-        def count(body: list[ir.Stmt]) -> int:
-            total = 0
-            for stmt in body:
-                if stmt is loop:
-                    continue
-                for expr in ir.statement_exprs(stmt):
-                    for node in ir.walk_expr(expr):
-                        if isinstance(node, ir.VarRef) and \
-                                node.name == name:
-                            total += 1
-                if isinstance(stmt, ir.ForRange) and stmt.var == name:
-                    continue
-                for sub in stmt.substatements():
-                    total += count(sub)
-            return total
-
-        return count(self._func_body) > 0
-
     def _is_pure(self, expr: ir.Expr) -> bool:
         return not any(isinstance(node, ir.IntrinsicCall)
                        for node in ir.walk_expr(expr))
@@ -132,7 +91,7 @@ class DeadCodeElimination:
         holding its final value, so a loop variable read *outside* the
         loop keeps the loop.
         """
-        if self._var_used_outside(loop):
+        if read_outside(self._func_body, loop, loop.var):
             return False
         if not loop.body:
             return True

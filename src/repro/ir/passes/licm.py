@@ -9,7 +9,7 @@ so a variable read after the loop still holds the same value.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import assigned_vars
+from repro.ir.defuse import assigned_vars, stmt_defs
 from repro.observe import remarks as obs_remarks
 
 
@@ -53,7 +53,8 @@ class LoopInvariantCodeMotion:
             # other operand is.
             if not self._invariant(stmt.value, loop_writes):
                 break
-            if self._assign_count(loop.body, stmt.name) != 1:
+            if sum(stmt.name in stmt_defs(s)[0]
+                   for s in ir.walk_statements(loop.body)) != 1:
                 break
             hoisted.append(loop.body.pop(0))
             obs_remarks.passed(
@@ -79,14 +80,3 @@ class LoopInvariantCodeMotion:
             if isinstance(node, ir.VarRef) and node.name in loop_writes:
                 return False
         return True
-
-    def _assign_count(self, body: list[ir.Stmt], name: str) -> int:
-        count = 0
-        for stmt in ir.walk_statements(body):
-            if isinstance(stmt, ir.AssignVar) and stmt.name == name:
-                count += 1
-            elif isinstance(stmt, ir.ForRange) and stmt.var == name:
-                count += 1
-            elif isinstance(stmt, ir.Call) and name in stmt.results:
-                count += 1
-        return count

@@ -12,13 +12,13 @@ bigger body to convert.
 from __future__ import annotations
 
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import (
+from repro.ir.defuse import (
     assigned_vars,
     loaded_arrays,
-    rewrite_tree,
     stored_arrays,
     used_vars,
 )
+from repro.ir.passes.rewrite import rewrite_tree
 from repro.observe import remarks as obs_remarks
 
 

@@ -9,7 +9,8 @@ anything it assigns is unknown both inside and after it).
 from __future__ import annotations
 
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import assigned_vars, rewrite_stmt_exprs
+from repro.ir.defuse import assigned_vars
+from repro.ir.passes.rewrite import rewrite_stmt_exprs
 
 
 class ConstantPropagation:

@@ -47,6 +47,7 @@ from repro.asip.model import ProcessorDescription
 from repro.errors import SimulationError
 from repro.numeric import c_pow
 from repro.ir import nodes as ir
+from repro.ir.defuse import assigned_vars
 from repro.ir.types import ArrayType, ScalarKind, ScalarType, VectorType
 from repro.sim.cost import CostModel, CycleReport
 from repro.sim.machine import (
@@ -290,18 +291,6 @@ def _can_abrupt(stmt: ir.Stmt) -> bool:
         # Loops swallow Break/Continue but a Return propagates out.
         return _raises_return(stmt.body)
     return False
-
-
-def _assigned_names(body: list[ir.Stmt]) -> set[str]:
-    names: set[str] = set()
-    for stmt in ir.walk_statements(body):
-        if isinstance(stmt, ir.AssignVar):
-            names.add(stmt.name)
-        elif isinstance(stmt, ir.Call):
-            names.update(stmt.results)
-        elif isinstance(stmt, ir.ForRange):
-            names.add(stmt.var)
-    return names
 
 
 _SANITIZE = re.compile(r"\W")
@@ -800,7 +789,7 @@ class _FuncCodegen:
         start = self.int_code(s.start, intvars, static, counts)
         stop = self.int_code(s.stop, intvars, static, counts)
 
-        body_vars = _assigned_names(s.body)
+        body_vars = assigned_vars(s.body)
         inner = set(intvars) - body_vars
         loop_var_reassigned = any(
             isinstance(st, ir.AssignVar) and st.name == s.var
@@ -835,7 +824,7 @@ class _FuncCodegen:
         return lines, static, counts
 
     def _while_stmt(self, s: ir.While, intvars):
-        body_vars = _assigned_names(s.body)
+        body_vars = assigned_vars(s.body)
         intvars.difference_update(body_vars)
         ccode, cstatic, ccounts = self.expr(s.condition, intvars)
         _merge(cstatic, {_BRANCH: self.cost.branch()})

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.asip.model import ProcessorDescription
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import assigned_vars, stored_arrays
+from repro.ir.defuse import assigned_vars, read_outside, stmt_uses, stored_arrays
 from repro.ir.types import I32, ScalarKind, ScalarType, VectorType
 from repro.observe import remarks as obs_remarks
 
@@ -80,23 +80,7 @@ class SimdVectorizer:
         # when no statement in the body mentions it again.
         if any(p.name == name for p in self._func.outputs):
             return True
-
-        def count(body: list[ir.Stmt]) -> int:
-            total = 0
-            for stmt in body:
-                if stmt is loop:
-                    continue  # the target loop's own body is exempt
-                for expr in ir.statement_exprs(stmt):
-                    for node in ir.walk_expr(expr):
-                        if isinstance(node, ir.VarRef) and node.name == name:
-                            total += 1
-                if isinstance(stmt, ir.ForRange) and stmt.var == name:
-                    continue  # redefined before any body use
-                for sub in stmt.substatements():
-                    total += count(sub)
-            return total
-
-        return count(self._func.body) > 0
+        return read_outside(self._func.body, loop, name)
 
     def _walk(self, body: list[ir.Stmt]) -> bool:
         changed = False
@@ -321,11 +305,7 @@ class SimdVectorizer:
         for kind, stmt, *rest in plan:
             if kind == "reduce":
                 continue
-            names: set[str] = set()
-            for expr in ir.statement_exprs(stmt):
-                for node in ir.walk_expr(expr):
-                    if isinstance(node, ir.VarRef):
-                        names.add(node.name)
+            names = stmt_uses(stmt)[0]
             if names & reduced:
                 clash = sorted(names & reduced)[0]
                 self._missed(loop, "reduction accumulator "
