@@ -3,13 +3,14 @@
 The compiled backend must be *indistinguishable* from the reference
 executor: bit-identical outputs, identical cycle totals, identical
 per-category breakdowns, identical custom-instruction counts, identical
-stdout.  These tests sweep the six example DSP kernels (optimized and
-baseline pipelines), hand-written control-flow torture programs, and
-hypothesis-generated kernels.
+per-line cycle attribution, identical stdout.  These tests sweep the
+ten corpus kernels (optimized and baseline pipelines), hand-written
+control-flow torture programs, and hypothesis-generated kernels.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,13 @@ from hypothesis import strategies as st
 
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.errors import SimulationError
-from repro.sim.compiled import CompiledSimulator
+from repro.sim.compiled import CompiledProgram
 from repro.sim.machine import Simulator
+
+from helpers import assert_outputs_close, golden_outputs
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from workloads import workload_by_name  # noqa: E402
 
 KERNEL_DIR = Path(__file__).resolve().parents[1] / "examples" / "mlab"
 
@@ -60,10 +66,15 @@ _KERNELS = {
 }
 
 
+#: The 5G kernels run at their benchmark sizes straight from the
+#: workload registry.
+_WORKLOAD_KERNELS = ("bf_weights", "channel_est", "inv3x3", "qr_gs")
+
+
 def assert_backends_agree(result, inputs):
     """Run both executors on one compilation; everything must match."""
     ref = Simulator(result.module, result.processor).run(list(inputs))
-    comp = CompiledSimulator(result.module, result.processor) \
+    comp = CompiledProgram(result.module, result.processor) \
         .run(list(inputs))
     assert len(ref.outputs) == len(comp.outputs)
     for i, (a, b) in enumerate(zip(ref.outputs, comp.outputs)):
@@ -75,7 +86,26 @@ def assert_backends_agree(result, inputs):
     assert ref.report.by_category == comp.report.by_category
     assert ref.report.instruction_counts == comp.report.instruction_counts
     assert ref.stdout == comp.stdout
+    ref_lines = Simulator(result.module, result.processor,
+                          profile_lines=True).run(list(inputs))
+    comp_lines = CompiledProgram(result.module, result.processor,
+                                 profile_lines=True).run(list(inputs))
+    assert ref_lines.line_cycles == comp_lines.line_cycles
+    assert sum(ref_lines.line_cycles.values()) == ref.report.total
     return ref, comp
+
+
+def assert_matches_interpreter(source, args, inputs, tol=1e-12):
+    """Both executors' operator values against the MATLAB interpreter,
+    an oracle that shares no code with the simulators."""
+    result = compile_source(source, args=args)
+    golden = golden_outputs(source, result.sprog.entry.func.name,
+                            list(inputs))
+    for executor in (Simulator, CompiledProgram):
+        run = executor(result.module, result.processor).run(list(inputs))
+        for index, expected in enumerate(golden):
+            assert_outputs_close(run.outputs[index], expected, tol,
+                                 f"{executor.__name__} output #{index}")
 
 
 def check_source(source, args, inputs, entry=None,
@@ -91,15 +121,21 @@ def check_source(source, args, inputs, entry=None,
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+@pytest.mark.parametrize("kernel", sorted(_KERNELS) + list(_WORKLOAD_KERNELS))
 @pytest.mark.parametrize("mode", ["optimized", "baseline"])
 def test_kernel_parity(kernel, mode):
-    entry, specs, make_inputs = _KERNELS[kernel]
-    source = (KERNEL_DIR / f"{entry}.m").read_text()
+    if kernel in _KERNELS:
+        entry, specs, make_inputs = _KERNELS[kernel]
+        source = (KERNEL_DIR / f"{entry}.m").read_text()
+        inputs = make_inputs(np.random.default_rng(3))
+    else:
+        workload = workload_by_name(kernel)
+        entry, specs, source = (workload.entry, workload.arg_types,
+                                workload.source)
+        inputs = workload.inputs(3)
     options = CompilerOptions.baseline() if mode == "baseline" else None
     result = compile_source(source, args=specs, entry=entry,
                             options=options)
-    inputs = make_inputs(np.random.default_rng(3))
     assert_backends_agree(result, inputs)
 
 
@@ -237,6 +273,7 @@ end
 """
     for value in (2.7, -1.3, 0.0):
         check_source(src, [arg()], [value])
+        assert_matches_interpreter(src, [arg()], [value])
 
 
 def test_complex_arithmetic_parity():
@@ -245,15 +282,17 @@ function y = f(a, b)
 y = real(a * b + conj(a)) + abs(b) + imag(a / b);
 end
 """
-    check_source(src, [arg(complex=True), arg(complex=True)],
-                 [1.5 + 2.5j, -0.5 + 1.0j])
+    specs = [arg(complex=True), arg(complex=True)]
+    inputs = [1.5 + 2.5j, -0.5 + 1.0j]
+    check_source(src, specs, inputs)
+    assert_matches_interpreter(src, specs, inputs)
 
 
 def test_step_limit_guard_compiled():
     src = "function y = f()\ny = 0;\nwhile 1 > 0\ny = y + 1;\nend\nend"
     result = compile_source(src, args=[])
-    simulator = CompiledSimulator(result.module, result.processor,
-                                  max_steps=10000)
+    simulator = CompiledProgram(result.module, result.processor,
+                                max_steps=10000)
     with pytest.raises(SimulationError, match="step limit"):
         simulator.run([])
 
@@ -261,7 +300,7 @@ def test_step_limit_guard_compiled():
 def test_out_of_bounds_detected_compiled():
     src = "function y = f(x, i)\ny = x(i);\nend"
     result = compile_source(src, args=[arg((1, 4)), arg()])
-    simulator = CompiledSimulator(result.module, result.processor)
+    simulator = CompiledProgram(result.module, result.processor)
     with pytest.raises(SimulationError, match="out of bounds"):
         simulator.run([np.zeros((1, 4)), 9.0])
 
@@ -269,7 +308,7 @@ def test_out_of_bounds_detected_compiled():
 def test_compiled_program_reusable_across_runs():
     src = "function s = f(x)\ns = sum(x .* x);\nend"
     result = compile_source(src, args=[arg((1, 16))])
-    simulator = CompiledSimulator(result.module, result.processor)
+    simulator = CompiledProgram(result.module, result.processor)
     rng = np.random.default_rng(0)
     for _ in range(3):
         x = rng.standard_normal((1, 16))
