@@ -6,20 +6,23 @@ time is dominated by Python interpretation overhead rather than by the
 cycle accounting the experiments actually measure.  This module pays
 the IR walk once: each :class:`~repro.ir.nodes.IRFunction` is translated
 into one real Python function (``ForRange`` becomes a ``range`` loop,
-expressions become inline Python expressions, custom instructions become
-pre-resolved operations), compiled with ``exec`` against a namespace of
-pre-bound helper closures, and reused for every subsequent run.
+operator nodes become the inline expressions of their
+:func:`repro.sim.ops.template`), compiled with ``exec`` against a
+namespace of pre-bound helpers, and reused for every subsequent run.
 
-Cycle accounting is batched per basic block: during translation the
-static portion of every straight-line statement group (costs that are
-charged unconditionally whenever the group executes) is folded into a
-handful of counter increments emitted once at the head of the group,
-instead of a ``CycleReport.charge`` call per node visit.  Conditionally
-evaluated work — the right-hand side of a short-circuiting ``land`` /
-``lor``, ``If`` branches, loop bodies — keeps its own flush so the
-produced :class:`~repro.sim.cost.CycleReport` is *identical* to the
+What nodes compute and cost comes from :mod:`repro.sim.ops`; this
+module owns only the execution strategy.  Cycle accounting is batched
+per basic block: during translation the :func:`repro.sim.ops.price` of
+every node in a straight-line statement group (costs that are charged
+unconditionally whenever the group executes) is folded into a handful
+of counter increments emitted once at the head of the group, instead of
+a ``CycleReport.charge`` call per node visit.  Conditionally evaluated
+work — the right-hand side of a short-circuiting ``land`` / ``lor``,
+``If`` branches, loop bodies — keeps its own flush so the produced
+:class:`~repro.sim.cost.CycleReport` is *identical* to the
 tree-walker's (same totals, same per-category breakdown, same custom
-instruction counts), which the differential test suite enforces.
+instruction counts, same per-line attribution), which the differential
+test suite enforces.
 
 Behavioural differences versus the reference executor (both only
 observable on invalid IR or runaway programs):
@@ -29,15 +32,10 @@ observable on invalid IR or runaway programs):
   limit triggers at a different (coarser) step count;
 * error messages for malformed IR (unknown arrays, unassigned reads)
   are normalized through a single :class:`SimulationError` wrapper.
-
-The tree-walker stays as the reference executor for differential
-testing; ``CompiledSimulator`` is a drop-in replacement with the same
-constructor and ``run`` signature.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 
@@ -45,195 +43,23 @@ import numpy as np
 
 from repro.asip.model import ProcessorDescription
 from repro.errors import SimulationError
-from repro.numeric import c_pow
 from repro.ir import nodes as ir
 from repro.ir.defuse import assigned_vars
-from repro.ir.types import ArrayType, ScalarKind, ScalarType, VectorType
+from repro.ir.types import ArrayType, ScalarKind, ScalarType
+from repro.sim import ops
 from repro.sim.cost import CostModel, CycleReport
 from repro.sim.machine import (
     ExecutionResult,
-    as_buffer,
-    coerce_scalar,
+    bind_args,
+    collect_outputs,
     format_emit,
-    from_numpy,
-    numpy_dtype,
 )
 
-#: Fixed counter slots for batched accounting (mirrors the category
-#: strings the tree-walker passes to CycleReport.charge).
+#: Fixed counter slots for batched accounting, one per category that
+#: :func:`repro.sim.ops.price` charges.
 _CATEGORIES = ("move", "mem", "branch", "alu", "math", "call", "intrinsic")
-_MOVE, _MEM, _BRANCH, _ALU, _MATH, _CALL, _INTR = range(len(_CATEGORIES))
-
-
-# ----------------------------------------------------------------------
-# Runtime helpers bound into every generated function's namespace.
-# Each mirrors one branch of the tree-walker exactly.
-# ----------------------------------------------------------------------
-
-
-def _idiv(left, right):
-    return int(left / right) if right != 0 else 0
-
-
-def _fdiv(left, right):
-    try:
-        return left / right
-    except ZeroDivisionError:
-        return float("inf") if left > 0 else (
-            float("-inf") if left < 0 else float("nan"))
-
-
-def _rem_op(left, right):
-    return math.fmod(left, right) if right != 0 else float("nan")
-
-
-def _cmag2(value):
-    return value.real * value.real + value.imag * value.imag
-
-
-def _cast_complex(value):
-    return complex(value)
-
-
-def _cast_bool(value):
-    if isinstance(value, complex):
-        value = value.real
-    return bool(value)
-
-
-def _cast_int(value):
-    if isinstance(value, complex):
-        value = value.real
-    return int(value)  # C cast truncates toward zero, like int()
-
-
-def _cast_f32(value):
-    if isinstance(value, complex):
-        value = value.real
-    return float(np.float32(value))
-
-
-def _cast_f64(value):
-    if isinstance(value, complex):
-        value = value.real
-    return float(value)
-
-
-_CAST_HELPERS = {
-    ScalarKind.BOOL: ("_cast_bool", _cast_bool),
-    ScalarKind.I8: ("_cast_int", _cast_int),
-    ScalarKind.I16: ("_cast_int", _cast_int),
-    ScalarKind.I32: ("_cast_int", _cast_int),
-    ScalarKind.F32: ("_cast_f32", _cast_f32),
-    ScalarKind.F64: ("_cast_f64", _cast_f64),
-    ScalarKind.C64: ("_cast_complex", _cast_complex),
-    ScalarKind.C128: ("_cast_complex", _cast_complex),
-}
-
-
-def _m_abs(a):
-    return abs(a)
-
-
-def _m_sqrt(a):
-    return cmath.sqrt(a) if isinstance(a, complex) else math.sqrt(abs(a)) \
-        if a >= 0 else float("nan")
-
-
-def _m_exp(a):
-    return cmath.exp(a) if isinstance(a, complex) else math.exp(a)
-
-
-def _m_log(a):
-    return cmath.log(a) if isinstance(a, complex) else (
-        math.log(a) if a > 0 else float("-inf") if a == 0
-        else float("nan"))
-
-
-def _m_sin(a):
-    return cmath.sin(a) if isinstance(a, complex) else math.sin(a)
-
-
-def _m_cos(a):
-    return cmath.cos(a) if isinstance(a, complex) else math.cos(a)
-
-
-def _m_tan(a):
-    return cmath.tan(a) if isinstance(a, complex) else math.tan(a)
-
-
-def _m_atan(a):
-    return math.atan(a)
-
-
-def _m_atan2(a, b):
-    return math.atan2(a, b)
-
-
-def _m_hypot(a, b):
-    return math.hypot(a, b)
-
-
-def _m_floor(a):
-    return float(math.floor(a))
-
-
-def _m_ceil(a):
-    return float(math.ceil(a))
-
-
-def _m_round(a):
-    # MATLAB rounds halves away from zero.
-    return float(math.floor(a + 0.5)) if a >= 0 else \
-        float(math.ceil(a - 0.5))
-
-
-def _m_fix(a):
-    return float(math.trunc(a))
-
-
-def _m_sign(a):
-    return float((a > 0) - (a < 0))
-
-
-def _m_mod(a, b):
-    if b == 0:
-        return a
-    return a - math.floor(a / b) * b
-
-
-def _m_rem(a, b):
-    return math.fmod(a, b) if b != 0 else float("nan")
-
-
-def _m_pow(a, b):
-    return c_pow(a, b)
-
-
-def _m_conj(a):
-    return a.conjugate() if isinstance(a, complex) else a
-
-
-def _m_real(a):
-    return a.real if isinstance(a, complex) else a
-
-
-def _m_imag(a):
-    return a.imag if isinstance(a, complex) else 0.0
-
-
-def _m_arg(a):
-    return cmath.phase(a) if isinstance(a, complex) else math.atan2(0.0, a)
-
-
-_MATH_HELPERS = {
-    "abs": _m_abs, "sqrt": _m_sqrt, "exp": _m_exp, "log": _m_log,
-    "sin": _m_sin, "cos": _m_cos, "tan": _m_tan, "atan": _m_atan,
-    "atan2": _m_atan2, "hypot": _m_hypot, "floor": _m_floor,
-    "ceil": _m_ceil, "round": _m_round, "fix": _m_fix, "sign": _m_sign,
-    "mod": _m_mod, "rem": _m_rem, "pow": _m_pow, "conj": _m_conj,
-    "real": _m_real, "imag": _m_imag, "arg": _m_arg,
-}
+_SLOTS = {category: index for index, category in enumerate(_CATEGORIES)}
+_MEM = _SLOTS["mem"]
 
 
 def _oob(name, size, index, extent):
@@ -248,27 +74,8 @@ def _stepfail():
                           "(infinite loop in generated code?)")
 
 
-_BASE_NS = {
-    "_np": np,
-    "_fromnp": from_numpy,
-    "_idiv": _idiv,
-    "_fdiv": _fdiv,
-    "_remop": _rem_op,
-    "_powop": c_pow,
-    "_cmag2": _cmag2,
-    "_npmin": np.minimum,
-    "_npmax": np.maximum,
-    "_npabs": np.abs,
-    "_npconj": np.conj,
-    "_npsum": np.sum,
-    "_npamin": np.min,
-    "_npamax": np.max,
-    "_oob": _oob,
-    "_stepfail": _stepfail,
-    "SimulationError": SimulationError,
-}
-_BASE_NS.update({f"_m_{name}": fn for name, fn in _MATH_HELPERS.items()})
-_BASE_NS.update({helper: fn for helper, fn in _CAST_HELPERS.values()})
+_BASE_NS = dict(ops.NAMESPACE, _oob=_oob, _stepfail=_stepfail,
+                SimulationError=SimulationError)
 
 
 def _merge(dst: dict, src: dict) -> None:
@@ -381,6 +188,19 @@ class _FuncCodegen:
                                  f"_lc.get({line}, 0) + {cycles}")
         return lines
 
+    def charge(self, node, static: dict[int, int],
+               counts: dict[str, int]) -> int:
+        """Fold ``node``'s price into a static charge set; returns its
+        cycles."""
+        priced = ops.price(node, self.cost)
+        if priced is None:
+            return 0
+        category, cycles, instruction = priced
+        _merge(static, {_SLOTS[category]: cycles})
+        if instruction is not None:
+            _merge(counts, {instruction: 1})
+        return cycles
+
     def charge_closure(self, static: dict[int, int],
                        counts: dict[str, int]) -> str:
         acc = self.program.acc
@@ -427,21 +247,22 @@ class _FuncCodegen:
                 declared.elem.kind.is_integer
         return False
 
-    def int_code(self, expr: ir.Expr, intvars: set[str],
-                 static: dict, counts: dict) -> str:
+    def operand(self, expr: ir.Expr, intvars: set[str],
+                static: dict, counts: dict) -> str:
+        """Code of ``expr``, its static charges merged into the caller's."""
         code, est, ecn = self.expr(expr, intvars)
         _merge(static, est)
         _merge(counts, ecn)
+        return code
+
+    def int_code(self, expr: ir.Expr, intvars: set[str],
+                 static: dict, counts: dict) -> str:
+        code = self.operand(expr, intvars, static, counts)
         if self._is_int(expr, intvars):
             return code
         return f"int({code})"
 
     # -- expressions ---------------------------------------------------
-
-    def _scalar_type(self, expr: ir.Expr) -> ScalarType:
-        if isinstance(expr.type, ScalarType):
-            return expr.type
-        return ScalarType(ScalarKind.F64)
 
     def _array_info(self, name: str):
         declared = self.func.local_type(name)
@@ -477,39 +298,17 @@ class _FuncCodegen:
             return self.local(e.name), {}, {}
         if isinstance(e, ir.Load):
             return self._load_expr(e, intvars)
-        if isinstance(e, ir.BinOp):
-            return self._binop_expr(e, intvars)
-        if isinstance(e, ir.UnOp):
-            code, static, counts = self.expr(e.operand, intvars)
-            _merge(static, {_ALU: self.cost.unop(e.op, self._scalar_type(e))})
-            if e.op == "neg":
-                return f"(-{code})", static, counts
-            return f"(not bool({code}))", static, counts
-        if isinstance(e, ir.MathCall):
-            return self._math_expr(e, intvars)
-        if isinstance(e, ir.Cast):
-            code, static, counts = self.expr(e.operand, intvars)
-            _merge(static, {_ALU: self.cost.cast()})
-            helper = _CAST_HELPERS[e.type.kind][0]
-            return f"{helper}({code})", static, counts
-        if isinstance(e, ir.MakeComplex):
-            rcode, static, counts = self.expr(e.real, intvars)
-            icode, ist, icn = self.expr(e.imag, intvars)
-            _merge(static, ist)
-            _merge(counts, icn)
-            _merge(static, {_MOVE: 2 * self.cost.move()})
-            return f"complex({rcode}, {icode})", static, counts
         if isinstance(e, ir.VecLoad):
             return self._vecload_expr(e, intvars)
-        if isinstance(e, ir.VecSplat):
-            code, static, counts = self.expr(e.operand, intvars)
-            _merge(static, {_MOVE: self.cost.move()})
-            dt = self.bind("_dt", numpy_dtype(e.type.elem.kind))
-            return (f"_np.full({e.type.lanes}, {code}, {dt})",
-                    static, counts)
-        if isinstance(e, ir.IntrinsicCall):
-            return self._intrinsic_expr(e, intvars)
-        raise SimulationError(f"cannot evaluate {type(e).__name__}")
+        if isinstance(e, ir.BinOp) and e.op in ("land", "lor"):
+            return self._logical_expr(e, intvars)
+        template = ops.template(e)
+        static: dict[int, int] = {}
+        counts: dict[str, int] = {}
+        parts = [self.operand(a, intvars, static, counts)
+                 for a in e.children()]
+        self.charge(e, static, counts)
+        return template.format(*parts), static, counts
 
     def _const_code(self, value) -> str:
         if isinstance(value, bool):
@@ -524,9 +323,7 @@ class _FuncCodegen:
         static: dict[int, int] = {}
         counts: dict[str, int] = {}
         idx = self.int_code(e.index, intvars, static, counts)
-        elem = e.type if isinstance(e.type, ScalarType) \
-            else ScalarType(ScalarKind.F64)
-        _merge(static, {_MEM: self.cost.load(elem)})
+        self.charge(e, static, counts)
         alias = self.array(e.array)
         size = self._size_code(e.array, alias)
         conv = self._load_conv(e.array)
@@ -536,93 +333,23 @@ class _FuncCodegen:
                 f"else _oob({e.array!r}, {size}, {j}, 1))")
         return code, static, counts
 
-    def _binop_expr(self, e: ir.BinOp, intvars):
-        op = e.op
-        if op in ("land", "lor"):
-            static: dict[int, int] = {
-                _ALU: self.cost.binop(op, self._scalar_type(e.left))}
-            counts: dict[str, int] = {}
-            lcode, lst, lcn = self.expr(e.left, intvars)
-            _merge(static, lst)
-            _merge(counts, lcn)
-            rcode, rst, rcn = self.expr(e.right, intvars)
-            if rst or rcn:
-                # Right side only evaluated (and charged) on demand.
-                chg = self.charge_closure(rst, rcn)
-                rcode = f"({chg}(), {rcode})[1]"
-            joiner = "and" if op == "land" else "or"
-            return (f"(bool({lcode}) {joiner} bool({rcode}))",
-                    static, counts)
-
-        lcode, static, counts = self.expr(e.left, intvars)
-        rcode, rst, rcn = self.expr(e.right, intvars)
-        _merge(static, rst)
-        _merge(counts, rcn)
-        is_vector = isinstance(e.type, VectorType)
-        if not is_vector:
-            _merge(static, {
-                _ALU: self.cost.binop(op, self._scalar_type(e.left))})
-        if op == "add":
-            code = f"({lcode} + {rcode})"
-        elif op == "sub":
-            code = f"({lcode} - {rcode})"
-        elif op == "mul":
-            code = f"({lcode} * {rcode})"
-        elif op == "div":
-            if isinstance(e.type, ScalarType) and e.type.kind.is_integer:
-                code = f"_idiv({lcode}, {rcode})"
-            else:
-                code = f"_fdiv({lcode}, {rcode})"
-        elif op == "pow":
-            code = f"_powop({lcode}, {rcode})"
-        elif op == "rem":
-            code = f"_remop({lcode}, {rcode})"
-        elif op == "min":
-            code = f"_npmin({lcode}, {rcode})" if is_vector \
-                else f"min({lcode}, {rcode})"
-        elif op == "max":
-            code = f"_npmax({lcode}, {rcode})" if is_vector \
-                else f"max({lcode}, {rcode})"
-        elif op == "eq":
-            code = f"({lcode} == {rcode})"
-        elif op == "ne":
-            code = f"({lcode} != {rcode})"
-        elif op == "lt":
-            code = f"({lcode} < {rcode})"
-        elif op == "le":
-            code = f"({lcode} <= {rcode})"
-        elif op == "gt":
-            code = f"({lcode} > {rcode})"
-        elif op == "ge":
-            code = f"({lcode} >= {rcode})"
-        else:
-            raise SimulationError(f"unknown binary op {op!r}")
-        return code, static, counts
-
-    def _math_expr(self, e: ir.MathCall, intvars):
-        if e.name not in _MATH_HELPERS:
-            raise SimulationError(f"unknown math function {e.name!r}")
+    def _logical_expr(self, e: ir.BinOp, intvars):
         static: dict[int, int] = {}
         counts: dict[str, int] = {}
-        parts = []
-        for a in e.args:
-            code, ast, acn = self.expr(a, intvars)
-            _merge(static, ast)
-            _merge(counts, acn)
-            parts.append(code)
-        operand_t = self._scalar_type(e.args[0]) if e.args \
-            else ScalarType(ScalarKind.F64)
-        _merge(static, {_MATH: self.cost.math(e.name, operand_t)})
-        return f"_m_{e.name}({', '.join(parts)})", static, counts
+        self.charge(e, static, counts)
+        lcode = self.operand(e.left, intvars, static, counts)
+        rcode, rst, rcn = self.expr(e.right, intvars)
+        if rst or rcn:
+            # Right side only evaluated (and charged) on demand.
+            chg = self.charge_closure(rst, rcn)
+            rcode = f"({chg}(), {rcode})[1]"
+        return ops.template(e).format(lcode, rcode), static, counts
 
     def _vecload_expr(self, e: ir.VecLoad, intvars):
         static: dict[int, int] = {}
         counts: dict[str, int] = {}
         base = self.int_code(e.base, intvars, static, counts)
-        if e.instruction is not None:
-            _merge(static,
-                   {_INTR: self.cost.intrinsic(e.instruction.cycles)})
-            _merge(counts, {e.instruction.name: 1})
+        self.charge(e, static, counts)
         lanes = e.type.lanes
         alias = self.array(e.array)
         size = self._size_code(e.array, alias)
@@ -633,59 +360,6 @@ class _FuncCodegen:
         code = (f"({slice_code}.copy() "
                 f"if 0 <= ({j} := {base}) <= {size} - {lanes} "
                 f"else _oob({e.array!r}, {size}, {j}, {lanes}))")
-        return code, static, counts
-
-    def _intrinsic_expr(self, e: ir.IntrinsicCall, intvars):
-        instr = e.instruction
-        static: dict[int, int] = {}
-        counts: dict[str, int] = {}
-        parts = []
-        for a in e.args:
-            code, ast, acn = self.expr(a, intvars)
-            _merge(static, ast)
-            _merge(counts, acn)
-            parts.append(code)
-        _merge(static, {_INTR: self.cost.intrinsic(instr.cycles)})
-        _merge(counts, {instr.name: 1})
-        op = instr.operation
-        a = parts
-        if op in ("vadd", "cadd"):
-            code = f"({a[0]} + {a[1]})"
-        elif op in ("vsub", "csub"):
-            code = f"({a[0]} - {a[1]})"
-        elif op in ("vmul", "cmul"):
-            code = f"({a[0]} * {a[1]})"
-        elif op == "vdiv":
-            code = f"({a[0]} / {a[1]})"
-        elif op in ("vmac", "cmac", "mac"):
-            code = f"({a[0]} + {a[1]} * {a[2]})"
-        elif op == "vmin":
-            code = f"_npmin({a[0]}, {a[1]})"
-        elif op == "vmax":
-            code = f"_npmax({a[0]}, {a[1]})"
-        elif op == "vabs":
-            code = f"_npabs({a[0]})"
-        elif op == "vneg":
-            code = f"(-{a[0]})"
-        elif op == "vconj":
-            code = f"_npconj({a[0]})"
-        elif op == "vsplat":
-            dt = self.bind("_dt", numpy_dtype(e.type.elem.kind))
-            code = f"_np.full({e.type.lanes}, {a[0]}, {dt})"
-        elif op == "vredadd":
-            code = f"_fromnp(_npsum({a[0]}))"
-        elif op == "vredmin":
-            code = f"_fromnp(_npamin({a[0]}))"
-        elif op == "vredmax":
-            code = f"_fromnp(_npamax({a[0]}))"
-        elif op == "cconj":
-            code = f"({a[0]}).conjugate()"
-        elif op == "cmag2":
-            code = f"_cmag2({a[0]})"
-        elif op == "clip":
-            code = f"min(max({a[0]}, {a[1]}), {a[2]})"
-        else:
-            raise SimulationError(f"unknown intrinsic operation {op!r}")
         return code, static, counts
 
     # -- statements ----------------------------------------------------
@@ -726,7 +400,7 @@ class _FuncCodegen:
     def _assign_stmt(self, s: ir.AssignVar, intvars):
         is_int = self._is_int(s.value, intvars)
         code, static, counts = self.expr(s.value, intvars)
-        _merge(static, {_MOVE: self.cost.move()})
+        self.charge(s, static, counts)
         if s.name in self.dict_scalars:
             line = f"S[{s.name!r}] = {code}"
         else:
@@ -741,12 +415,8 @@ class _FuncCodegen:
         static: dict[int, int] = {}
         counts: dict[str, int] = {}
         idx = self.int_code(s.index, intvars, static, counts)
-        vcode, vst, vcn = self.expr(s.value, intvars)
-        _merge(static, vst)
-        _merge(counts, vcn)
-        elem = s.value.type if isinstance(s.value.type, ScalarType) \
-            else ScalarType(ScalarKind.F64)
-        _merge(static, {_MEM: self.cost.store(elem)})
+        vcode = self.operand(s.value, intvars, static, counts)
+        self.charge(s, static, counts)
         alias = self.array(s.array)
         size = self._size_code(s.array, alias)
         j = f"_j{self.uid()}"
@@ -763,13 +433,8 @@ class _FuncCodegen:
         static: dict[int, int] = {}
         counts: dict[str, int] = {}
         base = self.int_code(s.base, intvars, static, counts)
-        vcode, vst, vcn = self.expr(s.value, intvars)
-        _merge(static, vst)
-        _merge(counts, vcn)
-        if s.instruction is not None:
-            _merge(static,
-                   {_INTR: self.cost.intrinsic(s.instruction.cycles)})
-            _merge(counts, {s.instruction.name: 1})
+        vcode = self.operand(s.value, intvars, static, counts)
+        self.charge(s, static, counts)
         lanes = s.value.type.lanes
         alias = self.array(s.array)
         size = self._size_code(s.array, alias)
@@ -798,10 +463,9 @@ class _FuncCodegen:
             inner.add(s.var)
 
         body_lines, bstatic, bcounts, blc = self.block(s.body, inner)
-        _merge(bstatic, {_BRANCH: self.cost.branch()})
         # Loop-control overhead attributes to the loop's own line,
         # exactly like the tree-walker's per-iteration branch charge.
-        _merge(blc, {s.line: self.cost.branch()})
+        _merge(blc, {s.line: self.charge(s, bstatic, bcounts)})
         flush = self.flush_lines(bstatic, bcounts, blc)
 
         if s.var in self.dict_scalars:
@@ -827,7 +491,7 @@ class _FuncCodegen:
         body_vars = assigned_vars(s.body)
         intvars.difference_update(body_vars)
         ccode, cstatic, ccounts = self.expr(s.condition, intvars)
-        _merge(cstatic, {_BRANCH: self.cost.branch()})
+        self.charge(s, cstatic, ccounts)
         # Condition check (including the final failing one) belongs to
         # the while statement's line, as in the tree-walker.
         check_flush = self.flush_lines(
@@ -846,7 +510,7 @@ class _FuncCodegen:
 
     def _if_stmt(self, s: ir.If, intvars):
         ccode, static, counts = self.expr(s.condition, intvars)
-        _merge(static, {_BRANCH: self.cost.branch()})
+        self.charge(s, static, counts)
 
         then_vars = set(intvars)
         then_lines, tst, tcn, tlc = self.block(s.then_body, then_vars)
@@ -864,17 +528,12 @@ class _FuncCodegen:
         return lines, static, counts
 
     def _call_stmt(self, s: ir.Call, intvars):
-        static: dict[int, int] = {_CALL: self.cost.call()}
+        static: dict[int, int] = {}
         counts: dict[str, int] = {}
-        parts = []
-        for a in s.args:
-            if isinstance(a, str):
-                parts.append(f"{self.array(a)}.copy()")
-            else:
-                code, ast, acn = self.expr(a, intvars)
-                _merge(static, ast)
-                _merge(counts, acn)
-                parts.append(code)
+        self.charge(s, static, counts)
+        parts = [f"{self.array(a)}.copy()" if isinstance(a, str)
+                 else self.operand(a, intvars, static, counts)
+                 for a in s.args]
         program = self.program
         callee = s.callee
         results = list(s.results)
@@ -900,12 +559,7 @@ class _FuncCodegen:
     def _emit_stmt(self, s: ir.Emit, intvars):
         static: dict[int, int] = {}
         counts: dict[str, int] = {}
-        parts = []
-        for a in s.args:
-            code, ast, acn = self.expr(a, intvars)
-            _merge(static, ast)
-            _merge(counts, acn)
-            parts.append(code)
+        parts = [self.operand(a, intvars, static, counts) for a in s.args]
         stdout = self.program.stdout
         fmt = s.format
 
@@ -922,9 +576,8 @@ class _FuncCodegen:
         salias = self.array(s.src)
         if dst_t is not None and src_t is not None:
             count = min(dst_t.numel, src_t.numel)
-            elem_kind = ScalarKind.C128 if dst_t.elem.kind.is_complex \
-                else ScalarKind.F64
-            cost = count * self.cost.copy_element(ScalarType(elem_kind))
+            cost = ops.copy_cycles(self.cost, count,
+                                   dst_t.elem.kind.is_complex)
             return ([f"{dalias}[:{count}] = {salias}[:{count}]"],
                     {_MEM: cost}, {})
         # Shapes unknown at compile time: fall back to a dynamic helper.
@@ -935,9 +588,7 @@ class _FuncCodegen:
 
         def copy(dst, src):
             count = min(dst.size, src.size)
-            elem_kind = ScalarKind.C128 if np.iscomplexobj(dst) \
-                else ScalarKind.F64
-            cost = count * cost_model.copy_element(ScalarType(elem_kind))
+            cost = ops.copy_cycles(cost_model, count, np.iscomplexobj(dst))
             acc[_MEM] += cost
             if line_cycles is not None:
                 line_cycles[line] = line_cycles.get(line, 0) + cost
@@ -1038,27 +689,7 @@ class CompiledFunction:
 
     def call(self, args: list[object]) -> list[object]:
         func = self.func
-        if len(args) != len(func.params):
-            raise SimulationError(
-                f"{func.name}: expected {len(func.params)} arguments, "
-                f"got {len(args)}")
-        scalars: dict[str, object] = {}
-        arrays: dict[str, np.ndarray] = {}
-        for param, value in zip(func.params, args):
-            if isinstance(param.type, ArrayType):
-                arrays[param.name] = as_buffer(value, param.type,
-                                               param.name)
-            else:
-                scalars[param.name] = coerce_scalar(value, param.type)
-        for name, ir_type in func.locals.items():
-            if isinstance(ir_type, ArrayType):
-                arrays[name] = np.zeros(
-                    ir_type.numel, dtype=numpy_dtype(ir_type.elem.kind))
-        for out in func.outputs:
-            if isinstance(out.type, ArrayType) and out.name not in arrays:
-                arrays[out.name] = np.zeros(
-                    out.type.numel, dtype=numpy_dtype(out.type.elem.kind))
-
+        scalars, arrays = bind_args(func, args)
         try:
             self.fn(scalars, arrays)
         except SimulationError:
@@ -1070,20 +701,7 @@ class CompiledFunction:
             raise SimulationError(
                 f"read of unassigned variable in {func.name}: "
                 f"{exc}") from exc
-
-        outputs: list[object] = []
-        for out in func.outputs:
-            if isinstance(out.type, ArrayType):
-                shaped = arrays[out.name].reshape(
-                    (out.type.rows, out.type.cols), order="F")
-                outputs.append(shaped.copy())
-            else:
-                value = scalars.get(out.name)
-                if value is None:
-                    raise SimulationError(
-                        f"{func.name}: output {out.name!r} never assigned")
-                outputs.append(value)
-        return outputs
+        return collect_outputs(func, scalars, arrays)
 
 
 class CompiledProgram:
@@ -1140,23 +758,3 @@ class CompiledProgram:
         cf = self.compiled[name or self.module.entry]
         return cf.source
 
-
-class CompiledSimulator:
-    """Drop-in replacement for :class:`~repro.sim.machine.Simulator`.
-
-    Translation happens once in the constructor; every ``run`` reuses
-    the compiled program, which is what makes repeated simulation of
-    the same module (benchmark loops, instruction-mix queries) fast.
-    """
-
-    def __init__(self, module: ir.IRModule,
-                 processor: ProcessorDescription,
-                 max_steps: int = 200_000_000,
-                 profile_lines: bool = False):
-        self.module = module
-        self.program = CompiledProgram(module, processor, max_steps,
-                                       profile_lines=profile_lines)
-
-    def run(self, args: list[object],
-            entry: str | None = None) -> ExecutionResult:
-        return self.program.run(args, entry)

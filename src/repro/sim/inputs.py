@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 from repro.ir.types import ArrayType
-from repro.sim.machine import numpy_dtype
+from repro.sim.ops import numpy_dtype
 
 
 def mix_seed(seed: int, label: str) -> int:
