@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.asip.model import CostTable, ProcessorDescription
-from repro.ir.types import ScalarKind, ScalarType
+from repro.ir.types import ScalarType
 
 
 @dataclass
@@ -111,9 +111,3 @@ class CostModel:
 
     def intrinsic(self, cycles: int) -> int:
         return cycles
-
-
-def kind_of(expr_type) -> ScalarKind:
-    if isinstance(expr_type, ScalarType):
-        return expr_type.kind
-    return ScalarKind.F64
