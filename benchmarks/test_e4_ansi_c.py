@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from workloads import default_workloads, workload_by_name
 
-from repro.backend.harness import run_via_gcc
 from repro.compiler import CompilerOptions, compile_source
 
 KERNELS = [w.name for w in default_workloads()]
@@ -37,7 +36,8 @@ def test_e4_ansi_c(kernel, mode, benchmark, record_row):
     golden = workload.golden(inputs)
 
     outputs = benchmark.pedantic(
-        lambda: run_via_gcc(result, list(inputs)), rounds=1, iterations=1)
+        lambda: result.native_program().run(list(inputs)).outputs,
+        rounds=1, iterations=1)
     produced = np.asarray(outputs[0])
     error = float(np.max(np.abs(produced - golden)))
     record_row("E4 strict-ANSI host compilation of generated C",

@@ -52,8 +52,7 @@ def main() -> None:
         print(f"    {name:<18} x{count}")
 
     if shutil.which("gcc"):
-        from repro.backend.harness import run_via_gcc
-        host = run_via_gcc(optimized, [x, h])
+        host = optimized.native_program().run([x, h]).outputs
         error = np.max(np.abs(np.asarray(host[0]) - golden))
         print(f"  gcc -std=c89 host run: max_err={error:.2e}")
     else:

@@ -1,1 +1,1 @@
-"""ANSI C emission and host-compilation harness."""
+"""ANSI C emission."""

@@ -1,4 +1,4 @@
-"""C-level type naming shared by the emitter and the harness."""
+"""C-level type naming shared by the emitter and the native ABI."""
 
 from __future__ import annotations
 

@@ -26,8 +26,7 @@ from repro.ir import nodes as ir
 from repro.ir.types import ArrayType, ScalarKind, ScalarType, VectorType
 
 
-def emit_c(module: ir.IRModule, processor: ProcessorDescription,
-           with_main: bool = False, main_body: str | None = None) -> str:
+def emit_c(module: ir.IRModule, processor: ProcessorDescription) -> str:
     """Render the whole module as one self-contained C file."""
     writer = _CWriter()
     writer.raw(generate_header(processor))
@@ -40,8 +39,6 @@ def emit_c(module: ir.IRModule, processor: ProcessorDescription,
         _FunctionEmitter(writer, func, module,
                          static=not is_entry).emit()
         writer.raw("")
-    if with_main and main_body is not None:
-        writer.raw(main_body)
     return writer.text()
 
 

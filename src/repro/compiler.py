@@ -140,11 +140,11 @@ class CompilationResult:
         (None on cache-shared or unpickled results)."""
         return getattr(self, "_trace", None)
 
-    def c_source(self, with_main: bool = False) -> str:
+    def c_source(self) -> str:
         """Generated ANSI C (one translation unit, including intrinsics
         header content when emitted standalone)."""
         from repro.backend.emitter import emit_c
-        return emit_c(self.module, self.processor, with_main=with_main)
+        return emit_c(self.module, self.processor)
 
     def intrinsics_header(self) -> str:
         from repro.asip.header_gen import generate_header

@@ -26,8 +26,8 @@ import traceback
 
 from repro.errors import EXIT_FAILURE, EXIT_INTERNAL, EXIT_OK
 from repro.fuzz.generator import ProgramGenerator
-from repro.fuzz.oracle import (COMPILE_ENGINES, GCC_HARNESSES,
-                               DifferentialOracle, Verdict, have_gcc)
+from repro.fuzz.oracle import (COMPILE_ENGINES, DifferentialOracle,
+                               Verdict, have_gcc)
 from repro.fuzz.reducer import reduce_program, write_reproducer
 from repro.observe import TraceSession, trace as obs_trace
 
@@ -58,13 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="target processor description name")
     parser.add_argument("--cc", default="gcc",
                         help="host C compiler for the gcc engine")
-    parser.add_argument("--harness", choices=list(GCC_HARNESSES),
-                        default="native",
-                        help="gcc-engine harness: 'native' (default; "
-                             "one cached .so per program, called "
-                             "in-process) or 'exec' (legacy per-call "
-                             "main()-wrapper executable with stdout "
-                             "parsing)")
     parser.add_argument("--reduce", action="store_true",
                         help="delta-debug each failure to a minimal "
                              "reproducer")
@@ -171,8 +164,7 @@ def _run(options, parser) -> int:
     session = TraceSession()
     oracle = DifferentialOracle(engines=engines,
                                 processor=options.processor,
-                                cc=options.cc,
-                                harness=options.harness)
+                                cc=options.cc)
     failures: list[dict] = []
     seen_buckets: set[str] = set()
     shard_counters: dict[str, int] = {}
@@ -187,8 +179,7 @@ def _run(options, parser) -> int:
             from repro.fuzz.parallel import run_sharded
             records, shard_counters, _, shard_metrics = run_sharded(
                 jobs, options.seed, options.count, options.mode,
-                engines, options.processor, options.cc,
-                options.harness)
+                engines, options.processor, options.cc)
             # Same streaming semantics as the serial loop, applied to
             # the seed-ordered merge: dedup, reduce, and corpus writes
             # happen here in the parent; the program is regenerated

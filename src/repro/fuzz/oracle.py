@@ -6,22 +6,16 @@ compares the outputs:
 * ``interp`` — the golden numpy-backed :class:`MatlabInterpreter`;
 * ``reference`` — the tree-walking IR simulator;
 * ``compiled`` — the compiled-closure simulator backend;
-* ``gcc`` — the emitted ANSI C compiled by a host C compiler and
-  executed (only when a compiler is on PATH).  Two harnesses: the
-  default ``"native"`` builds one ``.so`` per program behind the
-  content-addressed native artifact cache and calls it in-process
-  (one compiler invocation per program, however many input points are
-  evaluated); ``"exec"`` is the legacy text-mode path — a fresh
-  main()-wrapper executable per call with inputs embedded and outputs
-  parsed back from stdout — kept as a fallback and as a regression
-  path for the printf round-trip itself.
+* ``gcc`` — the emitted ANSI C compiled by a host C compiler into one
+  ``.so`` per program behind the content-addressed native artifact
+  cache and called in-process (only when a compiler is on PATH).
 
 The interpreter is the golden model: every other engine is compared
 against it.  Comparison is NaN-aware (NaN positions must match
 exactly; comparison happens on the non-NaN remainder, where matching
 infinities pass) and dtype-aware (single-precision programs and the
-printf-roundtripped gcc path get looser tolerances than pure-double
-simulator runs).
+gcc path, which runs on host libm, get looser tolerances than
+pure-double simulator runs).
 
 ``interp``-mode programs (growth-by-assignment, logical indexing,
 matrix column iteration...) never reach the compiler; for those the
@@ -59,8 +53,7 @@ COMPILE_ENGINES = ("reference", "compiled", "gcc")
 #: Relative tolerance per (dtype, engine-path) combination.  The
 #: simulator backends compute in float64 except where the program is
 #: declared single (then per-op float32 rounding applies); the gcc path
-#: additionally round-trips values through printf/strtod and libm
-#: implementations differ between the host and numpy.
+#: additionally calls the host libm, whose results differ from numpy's.
 _TOLERANCE = {
     ("double", "sim"): 1e-9,
     ("double", "gcc"): 1e-7,
@@ -245,30 +238,18 @@ def _desugar_matrix_for(program: ast.Program) -> "ast.Program | None":
 # ----------------------------------------------------------------------
 
 
-#: gcc-engine harnesses: ``"native"`` = in-process ``.so`` dispatch
-#: (compile once per program), ``"exec"`` = per-call main()-wrapper
-#: executable with printf/stdout output parsing.
-GCC_HARNESSES = ("native", "exec")
-
-
 class DifferentialOracle:
     """Runs programs through every engine and compares the results."""
 
     def __init__(self, engines: "tuple[str, ...] | list[str]" = None,
-                 processor: str = "vliw_simd_dsp", cc: str = "gcc",
-                 harness: str = "native"):
+                 processor: str = "vliw_simd_dsp", cc: str = "gcc"):
         if engines is None:
             engines = list(COMPILE_ENGINES)
         engines = [e for e in engines
                    if e != "gcc" or have_gcc(cc)]
-        if harness not in GCC_HARNESSES:
-            raise ValueError(
-                f"unknown gcc harness {harness!r}; expected one of "
-                f"{GCC_HARNESSES}")
         self.engines = tuple(engines)
         self.processor = processor
         self.cc = cc
-        self.harness = harness
 
     # -- public ---------------------------------------------------------
 
@@ -284,80 +265,6 @@ class DifferentialOracle:
             session.event("fuzz.verdict", status=verdict.status,
                           engine=verdict.engine, bucket=verdict.bucket)
         return verdict
-
-    def run_points(self, program: GeneratedProgram,
-                   points: "list[list[object]]") -> "list[Verdict]":
-        """Judge one compile-mode program on several input points.
-
-        The translation unit is compiled **once** and every execution
-        artifact (compiled-closure program, native ``.so``) is reused
-        across points — with the default native harness that means one
-        compiler invocation for the whole point set, not one per oracle
-        call.  Returns one verdict per point, stopping early at the
-        first interesting one.
-        """
-        session = obs_trace.current()
-        session.counter("fuzz.programs")
-        try:
-            result = compile_source(
-                program.source, args=program.arg_specs(),
-                entry=program.entry, processor=self.processor,
-                options=CompilerOptions(), use_cache=False)
-        except UnsupportedFeatureError as exc:
-            return [Verdict(status="skip", engine="compile",
-                            detail=str(exc))]
-        except Exception as exc:
-            return [Verdict(status="crash", engine="compile",
-                            detail=f"{type(exc).__name__}: {exc}",
-                            bucket=_bucket("compile", exc))]
-        verdicts: list[Verdict] = []
-        for inputs in points:
-            verdict = self._judge_point(result, program, inputs)
-            verdicts.append(verdict)
-            session.counter(f"fuzz.{verdict.status}")
-            if verdict.interesting:
-                break
-        return verdicts
-
-    def _judge_point(self, result, program: GeneratedProgram,
-                     inputs: "list[object]",
-                     golden: "list[object] | None" = None) -> Verdict:
-        """Compare every engine against the interpreter on one point."""
-        session = obs_trace.current()
-        if golden is None:
-            t0 = time.perf_counter()
-            try:
-                golden = MatlabInterpreter(program.source).call(
-                    program.entry, list(inputs), nargout=program.nargout)
-            except Exception as exc:
-                return Verdict(status="crash", engine="interp",
-                               detail=f"{type(exc).__name__}: {exc}",
-                               bucket=_bucket("interp", exc))
-            session.observe("fuzz.engine.interp_s",
-                            time.perf_counter() - t0)
-        dtype = _program_dtype(program)
-        ran: list[str] = ["interp"]
-        for engine in self.engines:
-            t0 = time.perf_counter()
-            try:
-                outputs = self._run_engine(result, engine, list(inputs))
-            except Exception as exc:
-                return Verdict(status="crash", engine=engine,
-                               detail=f"{type(exc).__name__}: {exc}",
-                               bucket=_bucket(engine, exc),
-                               engines_run=tuple(ran), golden=golden)
-            session.observe(f"fuzz.engine.{engine}_s",
-                            time.perf_counter() - t0)
-            ran.append(engine)
-            path = "gcc" if engine == "gcc" else "sim"
-            rtol = _TOLERANCE[(dtype, path)]
-            mismatch = compare_outputs(golden, outputs, rtol)
-            if mismatch is not None:
-                return Verdict(status="divergence", engine=engine,
-                               detail=mismatch, engines_run=tuple(ran),
-                               golden=golden)
-        return Verdict(status="ok", engines_run=tuple(ran),
-                       golden=golden)
 
     # -- compile mode ---------------------------------------------------
 
@@ -387,15 +294,35 @@ class DifferentialOracle:
                            detail=f"{type(exc).__name__}: {exc}",
                            bucket=_bucket("compile", exc), golden=golden)
 
-        return self._judge_point(result, program, program.inputs(),
-                                 golden=golden)
+        session = obs_trace.current()
+        inputs = program.inputs()
+        dtype = _program_dtype(program)
+        ran: list[str] = ["interp"]
+        for engine in self.engines:
+            t0 = time.perf_counter()
+            try:
+                outputs = self._run_engine(result, engine, list(inputs))
+            except Exception as exc:
+                return Verdict(status="crash", engine=engine,
+                               detail=f"{type(exc).__name__}: {exc}",
+                               bucket=_bucket(engine, exc),
+                               engines_run=tuple(ran), golden=golden)
+            session.observe(f"fuzz.engine.{engine}_s",
+                            time.perf_counter() - t0)
+            ran.append(engine)
+            path = "gcc" if engine == "gcc" else "sim"
+            rtol = _TOLERANCE[(dtype, path)]
+            mismatch = compare_outputs(golden, outputs, rtol)
+            if mismatch is not None:
+                return Verdict(status="divergence", engine=engine,
+                               detail=mismatch, engines_run=tuple(ran),
+                               golden=golden)
+        return Verdict(status="ok", engines_run=tuple(ran),
+                       golden=golden)
 
     def _run_engine(self, result, engine: str,
                     inputs: "list[object]") -> list[object]:
         if engine == "gcc":
-            if self.harness == "exec":
-                from repro.backend.harness import run_via_gcc
-                return run_via_gcc(result, inputs, cc=self.cc)
             return result.native_program(cc=self.cc).run(inputs).outputs
         return result.simulate(inputs, backend=engine).outputs
 

@@ -30,7 +30,7 @@ _SHARDS_PER_WORKER = 4
 
 def run_shard(base_seed: int, start: int, count: int, mode: str,
               engines: "list[str] | None", processor: str,
-              cc: str, harness: str = "native") -> dict:
+              cc: str) -> dict:
     """Run programs ``base_seed + start .. + start + count - 1``.
 
     Returns plain data only: per-failure records (with the seed, so the
@@ -40,7 +40,7 @@ def run_shard(base_seed: int, start: int, count: int, mode: str,
     from repro.fuzz.oracle import DifferentialOracle
 
     oracle = DifferentialOracle(engines=engines, processor=processor,
-                                cc=cc, harness=harness)
+                                cc=cc)
     session = TraceSession()
     failures: list[dict] = []
     with obs_trace.use(session):
@@ -70,8 +70,7 @@ def run_shard(base_seed: int, start: int, count: int, mode: str,
 
 def run_sharded(jobs: int, base_seed: int, count: int, mode: str,
                 engines: "list[str] | None", processor: str,
-                cc: str, harness: str = "native") \
-        -> "tuple[list[dict], dict, list[str], dict]":
+                cc: str) -> "tuple[list[dict], dict, list[str], dict]":
     """Fan the seed range out over ``jobs`` workers.
 
     Returns ``(failures_in_seed_order, merged_counters, engines,
@@ -97,8 +96,7 @@ def run_sharded(jobs: int, base_seed: int, count: int, mode: str,
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         shards = pool.map(
             run_shard,
-            *zip(*[(base_seed, s, n, mode, engines, processor, cc,
-                    harness)
+            *zip(*[(base_seed, s, n, mode, engines, processor, cc)
                    for s, n in bounds]))
         for shard in shards:  # map() preserves submission order
             shard_engines = shard["engines"]

@@ -7,7 +7,8 @@ and the entry point is called in-process through a stable C ABI wrapper
 with zero-copy numpy views.  Surfaced as
 ``CompilationResult.simulate(backend="native")`` next to the
 tree-walking and compiled-closure simulator backends, and as the fuzz
-oracle's default gcc harness.
+oracle's gcc engine.  This is the only path that runs emitted C on the
+host.
 
 Unlike the two simulator backends, the native tier performs no cycle
 accounting — it exists to run the kernel at host-hardware speed; its

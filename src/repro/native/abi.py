@@ -139,5 +139,4 @@ def native_source(module: ir.IRModule, processor) -> str:
     """The full translation unit the shared object is built from."""
     from repro.backend.emitter import emit_c
 
-    return emit_c(module, processor, with_main=True,
-                  main_body=wrapper_source(module))
+    return emit_c(module, processor) + wrapper_source(module) + "\n"

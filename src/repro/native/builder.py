@@ -11,7 +11,10 @@ for native artifacts:
 
 Disk layout: ``<dir>/<key[:2]>/<key>.so`` where ``key`` is the sha256
 of exactly the build inputs — C source text, compiler name, compile
-flags, link flags, and an ABI version tag.  Writes publish via
+flags, link flags, and an ABI version tag.  Every build uses the
+strict-ANSI flags below: the shared object is the one place emitted C
+is compiled and run on the host, so it is also what proves the
+generated code is plain C89.  Writes publish via
 ``mkstemp`` + atomic ``os.replace`` (same protocol as the compilation
 cache), so concurrent builders of the same key race harmlessly and
 readers never observe a partial file.  Eviction is size-bounded: when
@@ -35,16 +38,20 @@ import tempfile
 import threading
 from pathlib import Path
 
-from repro.backend.harness import LINK_FLAGS, STRICT_FLAGS
 from repro.errors import BackendError
 from repro.observe import trace as obs_trace
 
-#: Compile flags for the shared object: the same strict-ANSI contract
-#: the exec harness enforces, but optimized for execution speed and
-#: position-independent.  ``LINK_FLAGS`` (``-lm``) are passed after the
-#: source file — toolchains that process libraries positionally resolve
-#: symbols left to right.
+#: Strict-ANSI conformance flags (the paper targets "any C compiler").
+STRICT_FLAGS = ["-std=c89", "-pedantic"]
+
+#: Compile flags for the shared object: the strict-ANSI contract,
+#: optimized for execution speed and position-independent.
 SO_COMPILE_FLAGS = [*STRICT_FLAGS, "-O2", "-fPIC", "-shared"]
+
+#: Link flags, passed after the source file: toolchains that process
+#: libraries positionally resolve symbols left to right, and a leading
+#: ``-lm`` silently links nothing.
+LINK_FLAGS = ["-lm"]
 
 #: Bumped whenever the wrapper ABI or marshalling layout changes, so
 #: stale on-disk artifacts from older versions can never be dlopened
@@ -52,16 +59,11 @@ SO_COMPILE_FLAGS = [*STRICT_FLAGS, "-O2", "-fPIC", "-shared"]
 _ABI_TAG = "repro-native-abi-v1"
 
 
-def native_cache_key(source: str, cc: str,
-                     compile_flags: "list[str] | None" = None,
-                     link_flags: "list[str] | None" = None) -> str:
+def native_cache_key(source: str, cc: str) -> str:
     """Content hash identifying one shared-object build exactly."""
     hasher = hashlib.sha256()
-    for part in (_ABI_TAG, source, cc,
-                 "\x1f".join(SO_COMPILE_FLAGS if compile_flags is None
-                             else compile_flags),
-                 "\x1f".join(LINK_FLAGS if link_flags is None
-                             else link_flags)):
+    for part in (_ABI_TAG, source, cc, "\x1f".join(SO_COMPILE_FLAGS),
+                 "\x1f".join(LINK_FLAGS)):
         hasher.update(part.encode("utf-8"))
         hasher.update(b"\x00")
     return hasher.hexdigest()

@@ -570,7 +570,7 @@ class SimdVectorizer:
         # Main vector body.  Vector temporaries get fresh names so the
         # scalar tail loop keeps using the original scalar variables.
         tail_body = copy.deepcopy(loop.body)
-        main_body: list[ir.Stmt] = []
+        vector_body: list[ir.Stmt] = []
         renames: dict[str, str] = {}
         for entry in plan:
             if entry[0] == "temp":
@@ -587,13 +587,13 @@ class SimdVectorizer:
             kind, stmt = entry[0], entry[1]
             if kind == "store":
                 rename_refs(entry[2])
-                main_body.append(ir.VecStore(
+                vector_body.append(ir.VecStore(
                     array=stmt.array, base=stmt.index, value=entry[2],
                     instruction=vstore))
             elif kind == "temp":
                 rename_refs(entry[2])
                 new_name = renames[stmt.name]
-                main_body.append(ir.AssignVar(new_name, entry[2]))
+                vector_body.append(ir.AssignVar(new_name, entry[2]))
                 func.declare(new_name, entry[2].type)
             else:
                 acc_name, how = entry[2], entry[3]
@@ -611,14 +611,14 @@ class SimdVectorizer:
                     update = ir.IntrinsicCall(
                         vtype, instruction=instr,
                         args=[ir.VarRef(vtype, vacc), how[1]])
-                main_body.append(ir.AssignVar(vacc, update))
+                vector_body.append(ir.AssignVar(vacc, update))
             # Vector statements inherit the source line of the scalar
             # statement they replace, so hotspot profiles attribute
             # their cycles to the original MATLAB line.
-            main_body[-1].line = stmt.line
+            vector_body[-1].line = stmt.line
 
         out.append(ir.ForRange(var=loop.var, start=loop.start,
-                               stop=main_stop, step=lanes, body=main_body))
+                               stop=main_stop, step=lanes, body=vector_body))
 
         # Reduction epilogues: fold the vector accumulator into the
         # scalar before the tail loop continues accumulating.

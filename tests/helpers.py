@@ -70,8 +70,7 @@ def check_program(source: str, args, inputs: list,
         assert_outputs_close(run_base.outputs[index], expected, tol,
                              f"baseline output #{index}")
     if with_gcc and HAVE_GCC:
-        from repro.backend.harness import run_via_gcc
-        host = run_via_gcc(optimized, list(inputs))
+        host = optimized.native_program().run(list(inputs)).outputs
         for index, expected in enumerate(golden):
             assert_outputs_close(host[index], expected, max(tol, 1e-7),
                                  f"gcc output #{index}")

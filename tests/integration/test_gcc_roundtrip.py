@@ -50,14 +50,13 @@ SMALL = {
 @pytest.mark.parametrize("entry", list(SMALL))
 @pytest.mark.parametrize("mode", ["optimized", "baseline"])
 def test_kernel_gcc_roundtrip(entry, mode):
-    from repro.backend.harness import run_via_gcc
     args, inputs, tol = SMALL[entry]
     source = kernel_source(entry if entry != "iir_biquad" else "iir_biquad")
     options = CompilerOptions.baseline() if mode == "baseline" else None
     result = compile_source(source, args=args, entry=entry,
                             options=options)
     golden = MatlabInterpreter(source).call(entry, list(inputs))[0]
-    outputs = run_via_gcc(result, list(inputs))
+    outputs = result.native_program().run(list(inputs)).outputs
     produced = np.atleast_2d(np.asarray(outputs[0]))
     assert produced.shape == np.asarray(golden).shape
     assert np.allclose(produced, golden, atol=tol, rtol=tol), \

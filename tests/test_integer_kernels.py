@@ -89,7 +89,6 @@ def test_int16_gcc_roundtrip():
     import shutil
     if shutil.which("gcc") is None:
         pytest.skip("gcc not available")
-    from repro.backend.harness import run_via_gcc
     src = """
 function y = f(x)
 y = int16(zeros(1, 12));
@@ -100,7 +99,7 @@ end
 """
     result = compile_source(src, args=[int_row(12)])
     x = np.arange(12, dtype=np.int16).reshape(1, -1)
-    out = run_via_gcc(result, [x])
+    out = result.native_program().run([x]).outputs
     assert np.array_equal(np.asarray(out[0], dtype=np.int64),
                           x.astype(np.int64) * 2 - 3)
 

@@ -6,12 +6,12 @@ Four groups of guards:
   ``simulate(backend="native")`` (versus the interpreter, the reference
   simulator, and the compiled-closure backend);
 * the fuzz corpus and a 100-seed sweep run clean through the oracle's
-  native gcc harness;
+  native gcc engine;
 * caching: a second native simulation of the same program performs
-  **zero** compiler invocations (in-memory and on-disk layers), and
-  ``DifferentialOracle.run_points`` builds once per program however
-  many input points it judges;
-* the compile/link flag split keeps ``-lm`` after the source files.
+  **zero** compiler invocations (in-memory and on-disk layers), so one
+  result builds one ``.so`` however many times it runs;
+* the build flags keep the strict-ANSI contract and ``-lm`` after the
+  source files.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from helpers import requires_gcc
-from repro.backend import harness
 from repro.compiler import compile_source
 from repro.errors import BackendError, SimulationError
 from repro.fuzz import DifferentialOracle, ProgramGenerator
@@ -138,7 +137,7 @@ def test_native_missing_compiler_is_backend_error():
                          sorted(p.stem for p in CORPUS.glob("*.m")))
 def test_corpus_replays_through_native_harness(name):
     prog, _ = load_reproducer(CORPUS, name)
-    oracle = DifferentialOracle(harness="native")
+    oracle = DifferentialOracle()
     verdict = oracle.run(prog)
     assert verdict.ok, \
         f"{name}: {verdict.status} ({verdict.engine}): {verdict.detail}"
@@ -148,9 +147,7 @@ def test_corpus_replays_through_native_harness(name):
 def test_fuzz_sweep_through_native_harness():
     """100 generated seeds through compiled + native-gcc engines: no
     divergences, no crashes."""
-    oracle = DifferentialOracle(engines=["compiled", "gcc"],
-                                harness="native")
-    assert oracle.harness == "native"
+    oracle = DifferentialOracle(engines=["compiled", "gcc"])
     statuses = {"ok": 0, "skip": 0}
     for seed in range(100):
         verdict = oracle.run(ProgramGenerator(seed).generate())
@@ -159,11 +156,6 @@ def test_fuzz_sweep_through_native_harness():
             f"{verdict.detail}"
         statuses[verdict.status] += 1
     assert statuses["ok"] >= 90, f"too many skips: {statuses}"
-
-
-def test_unknown_harness_rejected():
-    with pytest.raises(ValueError, match="harness"):
-        DifferentialOracle(harness="telnet")
 
 
 # ---------------------------------------------------------------------------
@@ -264,48 +256,18 @@ def test_disk_eviction_keeps_newest(tmp_path):
     assert cache.stats()["evictions"] >= 2
 
 
-@requires_gcc
-def test_run_points_compiles_once(fresh_native_cache, monkeypatch):
-    prog = ProgramGenerator(0).generate()
-    oracle = DifferentialOracle(engines=["compiled", "gcc"],
-                                harness="native")
-    calls = _count_gcc_calls(monkeypatch)
-    verdicts = oracle.run_points(prog, [prog.inputs() for _ in range(4)])
-    assert len(verdicts) == 4
-    assert all(v.ok for v in verdicts), \
-        [(v.status, v.detail) for v in verdicts]
-    assert len(calls) == 1, \
-        "run_points must compile one .so for the whole point set"
-
-
-@requires_gcc
-def test_exec_harness_still_works():
-    prog = ProgramGenerator(0).generate()
-    oracle = DifferentialOracle(engines=["gcc"], harness="exec")
-    verdict = oracle.run(prog)
-    assert verdict.ok, f"{verdict.status}: {verdict.detail}"
-
-
 # ---------------------------------------------------------------------------
-# Flag split (satellite): -lm stays after the sources
+# Build flags: strict ANSI, and -lm stays after the sources
 
 
 def test_flag_split_contract():
-    assert harness.DEFAULT_FLAGS == [*harness.COMPILE_FLAGS,
-                                     *harness.LINK_FLAGS]
-    assert "-lm" in harness.LINK_FLAGS
-    assert not any(f.startswith("-l") for f in harness.COMPILE_FLAGS)
-    compile_, link = harness.split_flags(["-std=c89", "-lm", "-O1"])
-    assert compile_ == ["-std=c89", "-O1"]
-    assert link == ["-lm"]
-    # The .so build shares the strict-ANSI contract.
-    assert set(harness.STRICT_FLAGS) <= set(native_builder.SO_COMPILE_FLAGS)
+    assert set(native_builder.STRICT_FLAGS) \
+        <= set(native_builder.SO_COMPILE_FLAGS)
+    assert native_builder.LINK_FLAGS == ["-lm"]
 
 
 def test_cache_key_sensitivity():
     base = native_cache_key("int x;", "gcc")
     assert native_cache_key("int y;", "gcc") != base
     assert native_cache_key("int x;", "clang") != base
-    assert native_cache_key("int x;", "gcc",
-                            compile_flags=["-O3"]) != base
     assert native_cache_key("int x;", "gcc") == base
