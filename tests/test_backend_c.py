@@ -1,14 +1,19 @@
 """Unit tests for the ANSI C backend and host round trips of its output."""
 
 import ctypes
+import hashlib
+import subprocess
 
 import numpy as np
 import pytest
 
 from repro.asip.header_gen import generate_header, vector_type_name
-from repro.asip.isa_library import vliw_simd_dsp
+from repro.asip.isa_library import load_processor, vliw_simd_dsp
+from repro.asip.model import (KNOWN_OPERATIONS, Instruction,
+                              ProcessorDescription)
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.ir.types import ScalarKind
+from repro.native.builder import STRICT_FLAGS
 
 from helpers import requires_gcc
 
@@ -46,6 +51,75 @@ def test_header_complex_helpers():
 def test_vector_type_name():
     assert vector_type_name(ScalarKind.F32, 8) == "asip_v8f32"
     assert vector_type_name(ScalarKind.C128, 2) == "asip_v2c128"
+
+
+#: Operations defined only on complex / only on real element kinds;
+#: every other operation is defined on all eight kinds.
+_COMPLEX_ONLY = {"cadd", "csub", "cmul", "cmac", "cconj", "cmag2", "vconj"}
+_REAL_ONLY = {"mac", "clip", "vmin", "vmax", "vabs", "vredmin", "vredmax"}
+
+
+def all_operations_processor() -> ProcessorDescription:
+    """Every operation on every element kind it is defined on: lanes 4
+    for the ``v*`` operations, 1 for the scalar ones."""
+    instructions = []
+    for operation in sorted(KNOWN_OPERATIONS):
+        for kind in ScalarKind:
+            if kind.is_complex and operation in _REAL_ONLY or \
+                    not kind.is_complex and operation in _COMPLEX_ONLY:
+                continue
+            instructions.append(Instruction(
+                name=f"{operation}_{kind.value}", operation=operation,
+                elem=kind, lanes=4 if operation.startswith("v") else 1,
+                cycles=1, intrinsic=f"asip_{operation}_{kind.value}",
+                description=f"{operation} on {kind.value}"))
+    return ProcessorDescription(name="all_operations",
+                                description="every operation x kind",
+                                instructions=instructions)
+
+
+#: sha256 of ``generate_header`` per processor.  The header is part of
+#: every emitted translation unit, so any byte it changes must be a
+#: deliberate, reviewed update of these digests.
+_HEADER_SHA256 = {
+    "all_operations":
+        "b54414ca681c7b6286ba2586e77123a4e2c4280155799ebc4e09746b7016edfc",
+    "generic_scalar_dsp":
+        "def5972c5a1dbd3b102d36235057cdab09df9cdeb2057219516b6d1d75bf0db7",
+    "vliw_simd_dsp":
+        "47a0712868fa75339ea9a28975ed5804530e43be14f45392024cbda9b5191d02",
+    "wide_simd_dsp":
+        "34ebd5b68adcbdc548105db22ceaa5ee07fde458923cb4d55fccd9fda8494209",
+}
+
+
+def _processor_named(name: str) -> ProcessorDescription:
+    if name == "all_operations":
+        return all_operations_processor()
+    return load_processor(name)
+
+
+def test_all_operations_processor_covers_every_pair():
+    assert len(all_operations_processor().instructions) == 144
+
+
+@pytest.mark.parametrize("name", sorted(_HEADER_SHA256))
+def test_header_bytes_pinned(name):
+    header = generate_header(_processor_named(name))
+    digest = hashlib.sha256(header.encode("utf-8")).hexdigest()
+    assert digest == _HEADER_SHA256[name]
+
+
+@requires_gcc
+def test_all_operations_header_is_strict_ansi(tmp_path):
+    path = tmp_path / "intrinsics.c"
+    path.write_text(generate_header(all_operations_processor()))
+    proc = subprocess.run(
+        ["gcc", *STRICT_FLAGS, "-c", str(path), "-o",
+         str(tmp_path / "intrinsics.o")],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 # ----------------------------------------------------------------------
