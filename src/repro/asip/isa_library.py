@@ -357,3 +357,33 @@ def load_processor(name: str) -> ProcessorDescription:
         raise KeyError(
             f"unknown processor {name!r}; available: "
             f"{', '.join(available_processors())}") from None
+
+
+def resolve_processor(spec: str) -> ProcessorDescription:
+    """Processor spec -> :class:`ProcessorDescription`.
+
+    Accepts a shipped description name (``vliw_simd_dsp``), the
+    parametric ``simd_width:N`` family used by the width-sweep
+    benchmarks, or a ``dse:{...}`` design-point spec (JSON-encoded
+    :class:`~repro.dse.space.DesignPoint` parameters) — the by-value
+    form the design-space-exploration engine ships candidates to
+    workers in.  Only shipped names are memoized: parametric specs can
+    come from untrusted clients, and caching them would let those
+    clients grow the cache.
+
+    Raises :class:`~repro.errors.IsaError` (malformed parameter
+    values, e.g. SIMD width 0 or a negative cycle cost), ``ValueError``
+    (unparseable spec syntax) or ``KeyError`` (unknown shipped name).
+    """
+    if spec.startswith("simd_width:"):
+        text = spec.split(":", 1)[1]
+        try:
+            width = int(text)
+        except ValueError:
+            raise IsaError(f"processor spec {spec!r}: SIMD width must "
+                           f"be an integer, got {text!r}") from None
+        return simd_dsp_with_width(width)
+    if spec.startswith("dse:"):
+        from repro.dse.space import DesignPoint
+        return DesignPoint.from_spec(spec).processor()
+    return load_processor(spec)

@@ -19,26 +19,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from repro.asip.operations import OPERATIONS
 from repro.errors import IsaError
 from repro.ir.types import ScalarKind
 
-#: Operation tags understood by the instruction selector.
-#: SIMD:     vload vstore vadd vsub vmul vdiv vmac vsplat vredadd vredmin
-#:           vredmax vmin vmax vabs vneg
-#: Complex:  cadd csub cmul cmac cconj cmag2
-#: Scalar:   mac clip
-KNOWN_OPERATIONS = frozenset(
-    {
-        "vload", "vloadr", "vstore", "vadd", "vsub", "vmul", "vdiv", "vmac",
-        "vsplat", "vredadd", "vredmin", "vredmax", "vmin", "vmax", "vabs",
-        "vneg", "vconj",
-        "cadd", "csub", "cmul", "cmac", "cconj", "cmag2",
-        "mac", "clip",
-    }
-)
-
-#: Operations whose result element kind is the *real* component kind.
-REAL_RESULT_OPERATIONS = frozenset({"cmag2"})
+#: Semantic tags an instruction may carry; what each computes, and on
+#: which element kinds, is defined in :mod:`repro.asip.operations`.
+KNOWN_OPERATIONS = frozenset(OPERATIONS)
 
 
 @dataclass(frozen=True)
@@ -64,10 +51,16 @@ class Instruction:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.operation not in KNOWN_OPERATIONS:
+        operation = OPERATIONS.get(self.operation)
+        if operation is None:
             raise IsaError(
                 f"instruction {self.name!r}: unknown operation "
                 f"{self.operation!r}")
+        if self.elem not in operation.kinds:
+            raise IsaError(
+                f"instruction {self.name!r}: operation "
+                f"{self.operation!r} is not defined on "
+                f"{self.elem.value} elements")
         if self.lanes < 1:
             raise IsaError(f"instruction {self.name!r}: lanes must be >= 1")
         if self.cycles < 1:
@@ -267,10 +260,31 @@ def make_simd_instruction_set(elem: ScalarKind, lanes: int, *,
     if mul_cycles is None:
         mul_cycles = alu_cycles
 
-    def instr(op: str, cycles: int, description: str) -> Instruction:
-        name = f"{prefix}{op[1:] if op.startswith('v') else op}_{suffix}"
-        return Instruction(
-            name=name,
+    group = [
+        ("vload", load_cycles, f"load {lanes} contiguous {elem.value}"),
+        ("vloadr", load_cycles,
+         f"load {lanes} contiguous {elem.value}, reversed lane order"),
+        ("vstore", load_cycles, f"store {lanes} contiguous {elem.value}"),
+        ("vsplat", 1, "broadcast scalar to all lanes"),
+        ("vadd", alu_cycles, "lane-wise add"),
+        ("vsub", alu_cycles, "lane-wise subtract"),
+        ("vmul", mul_cycles, "lane-wise multiply"),
+        ("vdiv", div_cycles, "lane-wise divide"),
+        ("vmac", mac_cycles, "lane-wise multiply-accumulate"),
+        ("vneg", alu_cycles, "lane-wise negate"),
+        ("vredadd", reduce_cycles, "horizontal add reduction"),
+        ("vconj", alu_cycles, "lane-wise conjugate"),
+        ("vmin", alu_cycles, "lane-wise minimum"),
+        ("vmax", alu_cycles, "lane-wise maximum"),
+        ("vabs", alu_cycles, "lane-wise absolute value"),
+        ("vredmin", reduce_cycles, "horizontal min reduction"),
+        ("vredmax", reduce_cycles, "horizontal max reduction"),
+    ]
+    # Only the operations defined on ``elem``: conjugation is complex
+    # only, ordering-based lane ops are real only.
+    return [
+        Instruction(
+            name=f"{prefix}{op[1:]}_{suffix}",
             operation=op,
             elem=elem,
             lanes=lanes,
@@ -278,33 +292,9 @@ def make_simd_instruction_set(elem: ScalarKind, lanes: int, *,
             intrinsic=f"asip_{op}_{suffix}",
             description=description,
         )
-
-    group = [
-        instr("vload", load_cycles, f"load {lanes} contiguous {elem.value}"),
-        instr("vloadr", load_cycles,
-              f"load {lanes} contiguous {elem.value}, reversed lane order"),
-        instr("vstore", load_cycles, f"store {lanes} contiguous {elem.value}"),
-        instr("vsplat", 1, "broadcast scalar to all lanes"),
-        instr("vadd", alu_cycles, "lane-wise add"),
-        instr("vsub", alu_cycles, "lane-wise subtract"),
-        instr("vmul", mul_cycles, "lane-wise multiply"),
-        instr("vdiv", div_cycles, "lane-wise divide"),
-        instr("vmac", mac_cycles, "lane-wise multiply-accumulate"),
-        instr("vneg", alu_cycles, "lane-wise negate"),
-        instr("vredadd", reduce_cycles, "horizontal add reduction"),
+        for op, cycles, description in group
+        if elem in OPERATIONS[op].kinds
     ]
-    if elem.is_complex:
-        # Ordering-based lane ops make no sense on complex elements.
-        group.append(instr("vconj", alu_cycles, "lane-wise conjugate"))
-    else:
-        group += [
-            instr("vmin", alu_cycles, "lane-wise minimum"),
-            instr("vmax", alu_cycles, "lane-wise maximum"),
-            instr("vabs", alu_cycles, "lane-wise absolute value"),
-            instr("vredmin", reduce_cycles, "horizontal min reduction"),
-            instr("vredmax", reduce_cycles, "horizontal max reduction"),
-        ]
-    return group
 
 
 def make_complex_instruction_set(elem: ScalarKind, *,

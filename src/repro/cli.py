@@ -22,7 +22,7 @@ import os
 import sys
 import traceback
 
-from repro.asip.isa_library import available_processors
+from repro.asip.isa_library import available_processors, resolve_processor
 from repro.compiler import CompilerOptions, arg as make_arg, compile_source
 from repro.errors import (EXIT_FAILURE, EXIT_INTERNAL, EXIT_OK, IsaError,
                           ReproError)
@@ -180,7 +180,6 @@ def _run(options, parser) -> int:
     # value in a parametric spec (simd_width:0, a dse:{...} point with
     # a negative cycle cost) is a usage error (EXIT_USAGE) with the
     # sourced diagnostic — never a traceback.
-    from repro.service.jobs import resolve_processor
     try:
         processor = resolve_processor(options.processor)
     except KeyError as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.asip.isa_library import load_processor
+from repro.asip.isa_library import resolve_processor
 from repro.asip.model import ProcessorDescription
 from repro.frontend.parser import parse
 from repro.frontend.source import SourceFile
@@ -293,7 +293,9 @@ def compile_source(source: str,
         source: MATLAB source text (one or more functions).
         args: entry-point argument types, built with :func:`arg`.
         entry: entry function name; defaults to the first function.
-        processor: a ProcessorDescription or the name of a shipped one.
+        processor: a ProcessorDescription or a processor spec: a
+            shipped name, ``simd_width:N`` or ``dse:{...}``
+            (:func:`~repro.asip.isa_library.resolve_processor`).
         options: pipeline switches; defaults to the full optimizer.
         filename: name used in diagnostics.
         use_cache: consult the content-addressed compilation cache
@@ -308,7 +310,7 @@ def compile_source(source: str,
     from repro import cache as _cache
 
     if isinstance(processor, str):
-        processor = load_processor(processor)
+        processor = resolve_processor(processor)
     options = options or CompilerOptions()
 
     session = observer if observer is not None else obs_trace.current()

@@ -60,9 +60,10 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from repro import cache as _cache
+from repro.asip.isa_library import resolve_processor
 from repro.cache import CompilationCache
 from repro.observe.telemetry import MetricsRegistry
-from repro.service.jobs import CompileJob, JobResult, resolve_processor
+from repro.service.jobs import CompileJob, JobResult
 from repro.service.pool import CompileService
 
 #: Ticket outcomes (`Ticket.outcome`).

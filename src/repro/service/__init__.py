@@ -16,7 +16,7 @@ Public surface::
 """
 
 from repro.service.jobs import (CompileJob, JobResult, JOB_STATUSES,
-                                next_job_id, resolve_processor)
+                                next_job_id)
 from repro.service.pool import CompileService
 from repro.service.report import BATCH_SCHEMA, BatchResult
 
@@ -28,5 +28,4 @@ __all__ = [
     "JOB_STATUSES",
     "JobResult",
     "next_job_id",
-    "resolve_processor",
 ]

@@ -155,34 +155,3 @@ class JobResult:
             "counters": dict(self.counters),
             "cache": dict(self.cache),
         }
-
-
-def resolve_processor(spec: str):
-    """Processor spec -> :class:`ProcessorDescription`.
-
-    Accepts a shipped description name (``vliw_simd_dsp``), the
-    parametric ``simd_width:N`` family used by the width-sweep
-    benchmarks, or a ``dse:{...}`` design-point spec (JSON-encoded
-    :class:`~repro.dse.space.DesignPoint` parameters) — the by-value
-    form the design-space-exploration engine ships candidates to
-    workers in.
-
-    Raises :class:`~repro.errors.IsaError` (malformed parameter
-    values, e.g. SIMD width 0 or a negative cycle cost), ``ValueError``
-    (unparseable spec syntax) or ``KeyError`` (unknown shipped name).
-    """
-    from repro.asip.isa_library import load_processor, simd_dsp_with_width
-    from repro.errors import IsaError
-
-    if spec.startswith("simd_width:"):
-        text = spec.split(":", 1)[1]
-        try:
-            width = int(text)
-        except ValueError:
-            raise IsaError(f"processor spec {spec!r}: SIMD width must "
-                           f"be an integer, got {text!r}") from None
-        return simd_dsp_with_width(width)
-    if spec.startswith("dse:"):
-        from repro.dse.space import DesignPoint
-        return DesignPoint.from_spec(spec).processor()
-    return load_processor(spec)

@@ -25,10 +25,11 @@ import signal
 import time
 
 from repro import cache as _cache
+from repro.asip.isa_library import resolve_processor
 from repro.errors import ReproError
 from repro.observe import trace as obs_trace
 from repro.observe.trace import TraceSession
-from repro.service.jobs import CompileJob, JobResult, resolve_processor
+from repro.service.jobs import CompileJob, JobResult
 
 
 class _JobTimeout(Exception):

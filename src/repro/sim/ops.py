@@ -7,9 +7,11 @@ IR operator computes and what one execution of an IR node costs:
   ``MathCall``, ``Cast``, ``MakeComplex``, ``VecSplat``,
   ``IntrinsicCall``) to a Python expression template over its operands
   ``{0}``, ``{1}``, ... (``node.children()`` in order); the template's
-  free names resolve in :data:`NAMESPACE`.  The compiled backend splices
-  templates into the source it generates; the tree-walker turns each
-  template into a function once (:func:`evaluator`).
+  free names resolve in :data:`NAMESPACE`.  Intrinsic templates come
+  from the operation table, :mod:`repro.asip.operations`.  The
+  compiled backend splices templates into the source it generates; the
+  tree-walker turns each template into a function once
+  (:func:`evaluator`).
 * :func:`price` maps any IR node to the cycles one execution charges,
   operands excluded; :func:`copy_cycles` prices a ``CopyArray``.
 
@@ -24,6 +26,7 @@ import math
 
 import numpy as np
 
+from repro.asip.operations import OPERATIONS, Shape
 from repro.errors import SimulationError
 from repro.ir import nodes as ir
 from repro.ir.types import ScalarKind, ScalarType, VectorType
@@ -262,21 +265,6 @@ _BINOP_TEMPLATES = {
     "land": "(bool({0}) and bool({1}))", "lor": "(bool({0}) or bool({1}))",
 }
 
-_INTRINSIC_TEMPLATES = {
-    "vadd": "({0} + {1})", "cadd": "({0} + {1})",
-    "vsub": "({0} - {1})", "csub": "({0} - {1})",
-    "vmul": "({0} * {1})", "cmul": "({0} * {1})",
-    "vdiv": "({0} / {1})",
-    "vmac": "({0} + {1} * {2})", "cmac": "({0} + {1} * {2})",
-    "mac": "({0} + {1} * {2})",
-    "vmin": "_npmin({0}, {1})", "vmax": "_npmax({0}, {1})",
-    "vabs": "_npabs({0})", "vneg": "(-{0})", "vconj": "_npconj({0})",
-    "vredadd": "_fromnp(_npsum({0}))", "vredmin": "_fromnp(_npamin({0}))",
-    "vredmax": "_fromnp(_npamax({0}))",
-    "cconj": "({0}).conjugate()", "cmag2": "_cmag2({0})",
-    "clip": "min(max({0}, {1}), {2})",
-}
-
 
 def _splat(vector_type: VectorType) -> str:
     return (f"_np.full({vector_type.lanes}, {{0}}, "
@@ -314,12 +302,14 @@ def template(expr: ir.Expr) -> str:
     if isinstance(expr, ir.VecSplat):
         return _splat(expr.type)
     if isinstance(expr, ir.IntrinsicCall):
-        op = expr.instruction.operation
-        if op == "vsplat":
+        operation = OPERATIONS[expr.instruction.operation]
+        if operation.shape is Shape.SPLAT:
             return _splat(expr.type)
-        if op in _INTRINSIC_TEMPLATES:
-            return _INTRINSIC_TEMPLATES[op]
-        raise SimulationError(f"unknown intrinsic operation {op!r}")
+        if operation.sim is None:
+            raise SimulationError(
+                f"intrinsic operation {expr.instruction.operation!r} "
+                "is not an expression")
+        return operation.sim
     raise SimulationError(f"cannot evaluate {type(expr).__name__}")
 
 

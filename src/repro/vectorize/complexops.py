@@ -11,44 +11,16 @@ speedup on complex DSP kernels comes from.
 
 from __future__ import annotations
 
-from repro.asip.model import ProcessorDescription
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import rewrite_stmt_exprs
 from repro.ir.types import ScalarType
-from repro.observe import remarks as obs_remarks
-from repro.vectorize.select import COMPLEX_BINOPS, exprs_equal
+from repro.vectorize.select import (COMPLEX_BINOPS, LineAwareSelector,
+                                    exprs_equal)
 
 
-class ComplexInstructionSelector:
+class ComplexInstructionSelector(LineAwareSelector):
     """Rewrites scalar complex arithmetic to custom-instruction calls."""
 
     name = "complex-select"
-
-    def __init__(self, processor: ProcessorDescription):
-        self.processor = processor
-
-    def run(self, func: ir.IRFunction) -> bool:
-        self._changed = False
-        self._func = func
-        self._line = 0
-        self._walk(func.body)
-        return self._changed
-
-    def _walk(self, body: list[ir.Stmt]) -> None:
-        # Statement-at-a-time so remarks carry the source line of the
-        # statement whose expression selected the instruction.
-        for stmt in body:
-            self._line = stmt.line
-            rewrite_stmt_exprs(stmt, self._rewrite)
-            for sub in stmt.substatements():
-                self._walk(sub)
-
-    def _select(self, instr, what: str) -> None:
-        self._changed = True
-        obs_remarks.passed(self.name,
-                           f"selected {instr.name!r} for {what}",
-                           function=self._func.name, line=self._line,
-                           instruction=instr.name)
 
     def _rewrite(self, expr: ir.Expr) -> ir.Expr:
         if not isinstance(expr.type, ScalarType) or not expr.type.is_complex:

@@ -11,49 +11,15 @@ Two idioms:
 
 from __future__ import annotations
 
-from repro.asip.model import ProcessorDescription
 from repro.ir import nodes as ir
-from repro.ir.passes.rewrite import rewrite_stmt_exprs
 from repro.ir.types import ScalarType
-from repro.observe import remarks as obs_remarks
+from repro.vectorize.select import LineAwareSelector
 
 
-class _LineAwareSelector:
-    """Shared statement-at-a-time driver that remembers the source line
-    of the statement being rewritten, so selection remarks point at the
-    user's code rather than at the function."""
-
-    name = "selector"
-
-    def run(self, func: ir.IRFunction) -> bool:
-        self._changed = False
-        self._func = func
-        self._line = 0
-        self._walk(func.body)
-        return self._changed
-
-    def _walk(self, body: list[ir.Stmt]) -> None:
-        for stmt in body:
-            self._line = stmt.line
-            rewrite_stmt_exprs(stmt, self._rewrite)
-            for sub in stmt.substatements():
-                self._walk(sub)
-
-    def _select(self, instr, what: str) -> None:
-        self._changed = True
-        obs_remarks.passed(self.name,
-                           f"selected {instr.name!r} for {what}",
-                           function=self._func.name, line=self._line,
-                           instruction=instr.name)
-
-
-class ScalarMacSelector(_LineAwareSelector):
+class ScalarMacSelector(LineAwareSelector):
     """Rewrites real-scalar ``x + a*b`` into ``mac`` intrinsic calls."""
 
     name = "scalar-mac"
-
-    def __init__(self, processor: ProcessorDescription):
-        self.processor = processor
 
     def _rewrite(self, expr: ir.Expr) -> ir.Expr:
         if not isinstance(expr, ir.BinOp) or expr.op != "add":
@@ -75,7 +41,7 @@ class ScalarMacSelector(_LineAwareSelector):
         return expr
 
 
-class ClipSelector(_LineAwareSelector):
+class ClipSelector(LineAwareSelector):
     """Rewrites ``min(max(x, lo), hi)`` into ``clip`` intrinsic calls.
 
     Only the min-outer nesting is matched: ``max(min(x, hi), lo)`` is
@@ -86,9 +52,6 @@ class ClipSelector(_LineAwareSelector):
     """
 
     name = "clip-idiom"
-
-    def __init__(self, processor: ProcessorDescription):
-        self.processor = processor
 
     def _rewrite(self, expr: ir.Expr) -> ir.Expr:
         if not isinstance(expr, ir.BinOp) or expr.op != "min":

@@ -1,32 +1,56 @@
-"""Shared instruction-selection queries against a processor description."""
+"""Shared instruction-selection machinery: opcode maps derived from the
+operation table, the statement-walking selector driver, and structural
+expression equality for idiom matchers."""
 
 from __future__ import annotations
 
 from repro.asip.model import Instruction, ProcessorDescription
+from repro.asip.operations import OPERATIONS, Shape
 from repro.ir import nodes as ir
-from repro.ir.types import ScalarKind, ScalarType
+from repro.ir.passes.rewrite import rewrite_stmt_exprs
+from repro.observe import remarks as obs_remarks
 
 #: BinOp opcodes with a direct SIMD-instruction counterpart.
-SIMD_BINOPS = {
-    "add": "vadd",
-    "sub": "vsub",
-    "mul": "vmul",
-    "div": "vdiv",
-    "min": "vmin",
-    "max": "vmax",
-}
+SIMD_BINOPS = {operation.binop: name for name, operation in OPERATIONS.items()
+               if operation.binop and operation.shape is Shape.LANEWISE}
 
 #: Scalar complex BinOp opcodes with a complex-unit counterpart.
-COMPLEX_BINOPS = {
-    "add": "cadd",
-    "sub": "csub",
-    "mul": "cmul",
-}
+COMPLEX_BINOPS = {operation.binop: name
+                  for name, operation in OPERATIONS.items()
+                  if operation.binop and operation.shape is Shape.SCALAR}
 
 
-def find(processor: ProcessorDescription, operation: str, elem: ScalarKind,
-         lanes: int) -> Instruction | None:
-    return processor.find(operation, elem, lanes)
+class LineAwareSelector:
+    """Statement-at-a-time selection driver that remembers the source
+    line of the statement being rewritten, so selection remarks point
+    at the user's code rather than at the function.  Subclasses set
+    ``name`` and implement ``_rewrite(expr) -> expr``."""
+
+    name = "selector"
+
+    def __init__(self, processor: ProcessorDescription):
+        self.processor = processor
+
+    def run(self, func: ir.IRFunction) -> bool:
+        self._changed = False
+        self._func = func
+        self._line = 0
+        self._walk(func.body)
+        return self._changed
+
+    def _walk(self, body: list[ir.Stmt]) -> None:
+        for stmt in body:
+            self._line = stmt.line
+            rewrite_stmt_exprs(stmt, self._rewrite)
+            for sub in stmt.substatements():
+                self._walk(sub)
+
+    def _select(self, instr: Instruction, what: str) -> None:
+        self._changed = True
+        obs_remarks.passed(self.name,
+                           f"selected {instr.name!r} for {what}",
+                           function=self._func.name, line=self._line,
+                           instruction=instr.name)
 
 
 def exprs_equal(a: ir.Expr, b: ir.Expr) -> bool:
@@ -53,8 +77,3 @@ def exprs_equal(a: ir.Expr, b: ir.Expr) -> bool:
         return exprs_equal(a.real, b.real) and exprs_equal(a.imag, b.imag)
     return False
 
-
-def scalar_kind(expr: ir.Expr) -> ScalarKind | None:
-    if isinstance(expr.type, ScalarType):
-        return expr.type.kind
-    return None

@@ -5,6 +5,7 @@ import pytest
 
 from repro.asip.isa_library import generic_scalar_dsp, vliw_simd_dsp
 from repro.asip.model import KNOWN_OPERATIONS, Instruction
+from repro.asip.operations import OPERATIONS
 from repro.compiler import CompilerOptions, arg, compile_source
 from repro.errors import SimulationError
 from repro.ir import nodes as ir
@@ -230,8 +231,10 @@ _MEMORY_OPERATIONS = {"vload", "vloadr", "vstore"}
 @pytest.mark.parametrize("operation",
                          sorted(KNOWN_OPERATIONS - _MEMORY_OPERATIONS))
 def test_every_known_operation_has_a_template(operation):
+    kinds = OPERATIONS[operation].kinds
+    elem = ScalarKind.F64 if ScalarKind.F64 in kinds else ScalarKind.C128
     instruction = Instruction(name=f"t_{operation}", operation=operation,
-                              elem=ScalarKind.F64, lanes=4, cycles=1,
+                              elem=elem, lanes=4, cycles=1,
                               intrinsic=f"t_{operation}")
     call = ir.IntrinsicCall(type=VectorType(F64, 4),
                             instruction=instruction)
