@@ -26,6 +26,7 @@ from repro.ir import nodes as ir
 from repro.ir.defuse import assigned_vars, read_outside, stmt_uses, stored_arrays
 from repro.ir.types import I32, ScalarKind, ScalarType, VectorType
 from repro.observe import remarks as obs_remarks
+from repro.vectorize.select import SIMD_BINOPS
 
 
 @dataclass
@@ -423,7 +424,6 @@ class SimdVectorizer:
             return self._splat(copy.deepcopy(expr), elem, lanes)
 
         if isinstance(expr, ir.BinOp):
-            from repro.vectorize.select import SIMD_BINOPS
             operation = SIMD_BINOPS.get(expr.op)
             if operation is None:
                 return None
